@@ -106,6 +106,16 @@ def _orbit_partition(spec, forms, step_fns):
     return orbits
 
 
+def _absolute_orbits(spec, inner_forms):
+    """The absolute class map of a complete set of inner forms, and the
+    braid orbits on its image."""
+    cmap = absolute_class_map(spec, inner_forms)
+    forms = sorted(set(cmap.values()))
+    steps = [lambda t, m=m: cmap[inner_canonical(spec, m(t))]
+             for m in braid_moves(spec)]
+    return cmap, _orbit_partition(spec, forms, steps)
+
+
 def all_orbits(spec, budget=DEFAULT_BUDGET):
     """Partition of enumerate_tuples(spec) into braid orbits."""
     if spec.equivalence == "inner":
@@ -113,13 +123,8 @@ def all_orbits(spec, budget=DEFAULT_BUDGET):
         can = lambda t: inner_canonical(spec, t)
         steps = [lambda t, m=m: can(m(t)) for m in braid_moves(spec)]
         return _orbit_partition(spec, forms, steps)
-    inner_spec = spec.as_inner()
-    inner_forms = enumerate_tuples(inner_spec, budget)
-    cmap = absolute_class_map(spec, inner_forms)
-    forms = sorted(set(cmap.values()))
-    steps = [lambda t, m=m: cmap[inner_canonical(spec, m(t))]
-             for m in braid_moves(spec)]
-    return _orbit_partition(spec, forms, steps)
+    return _absolute_orbits(
+        spec, enumerate_tuples(spec.as_inner(), budget))[1]
 
 
 def braidable(spec, braid_orbit, a):
@@ -140,16 +145,18 @@ class ComponentLattice:
         return self.v_data[abs_index]["v"]
 
 
-def component_lattice(spec, budget=DEFAULT_BUDGET):
+def component_lattice(spec, budget=DEFAULT_BUDGET, inner_orbits=None):
     """Inner orbits, absolute orbits, the covering between them, and the
-    verified component count v = (N_T : N^br) per absolute orbit."""
+    verified component count v = (N_T : N^br) per absolute orbit.  Given
+    `inner_orbits` (the braid orbits of spec.as_inner()), the inner forms
+    are their members and the class is not enumerated again."""
     inner_spec = spec.as_inner()
     abs_spec = NielsenSpec(spec.group, spec.labels, "absolute", spec.T)
-    inner_forms = enumerate_tuples(inner_spec, budget)
-    cmap = absolute_class_map(abs_spec, inner_forms)
-
-    inner_orbits = all_orbits(inner_spec, budget)
-    abs_orbits = all_orbits(abs_spec, budget)
+    if inner_orbits is None:
+        inner_orbits = all_orbits(inner_spec, budget)
+    inner_orbits = sorted(inner_orbits, key=lambda o: o.seed)
+    inner_forms = sorted(set().union(*(o.members for o in inner_orbits)))
+    cmap, abs_orbits = _absolute_orbits(abs_spec, inner_forms)
 
     abs_of_form = {}
     for i, o in enumerate(abs_orbits):

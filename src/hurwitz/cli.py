@@ -14,8 +14,7 @@ from .nielsen import (NielsenSpec, NielsenTuple, enumerate_tuples,
 from .braid import all_orbits, BraidOrbit, component_lattice
 from .reduced import (reduce_orbit, gamma_actions, cusps, reduced_genus,
                       sh_incidence, moduli_checks, wohlfahrt)
-from .lift import (orbit_lift_invariant, obstructed, tower_lift,
-                   component_moduli_degree, normalizer_action_on_lift,
+from .lift import (orbit_lift_invariant, tower_lift, lift_moduli_degree,
                    bcl_data)
 
 COMMANDS = ("enumerate", "orbits", "cusps", "genus", "shmatrix", "lift",
@@ -54,34 +53,55 @@ def _cache_path(cache_dir, spec):
     return os.path.join(cache_dir, "orbits-%s.json" % spec_hash(spec)[:24])
 
 
-def load_cached_orbits(cache_dir, spec):
+def load_cached_orbits(cache_dir, spec, budget=DEFAULT_BUDGET):
+    """The cached braid orbits of spec, sorted by seed; None when there is
+    no cache file or it does not hold a partition of the Nielsen class
+    (unparsable JSON, missing or malformed "orbits", overlapping orbits, or
+    members other than exactly the enumerated forms), so that the caller
+    recomputes and overwrites it."""
     path = _cache_path(cache_dir, spec)
     if not os.path.exists(path):
         return None
-    with open(path) as fh:
-        data = json.load(fh)
-    if data.get("spec_hash") != spec_hash(spec):
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+        if not isinstance(data, dict) or \
+                data.get("spec_hash") != spec_hash(spec):
+            return None
+        orbits = [BraidOrbit(spec, [NielsenTuple(_to_tuple(l), _to_tuple(e))
+                                    for l, e in members])
+                  for members in data["orbits"]]
+    except (ValueError, KeyError, TypeError):
         return None
-    orbits = []
-    for members in data["orbits"]:
-        tuples = [NielsenTuple(_to_tuple(l), _to_tuple(e))
-                  for l, e in members]
-        orbits.append(BraidOrbit(spec, tuples))
+    forms = set().union(*(o.members for o in orbits))
+    if len(forms) != sum(o.size for o in orbits) or \
+            forms != set(enumerate_tuples(spec, budget)):
+        return None
+    orbits.sort(key=lambda o: o.seed)
     return orbits
 
 
 def store_cached_orbits(cache_dir, spec, orbits):
+    """Write the orbit cache atomically: a reader sees the old file or the
+    whole new one, never a partial write."""
     os.makedirs(cache_dir, exist_ok=True)
     data = {"spec_hash": spec_hash(spec),
             "orbits": [[[_to_jsonable(t.labels), _to_jsonable(t.entries)]
                         for t in sorted(o.members)] for o in orbits]}
-    with open(_cache_path(cache_dir, spec), "w") as fh:
-        json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+    path = _cache_path(cache_dir, spec)
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def get_orbits(spec, budget, cache_dir):
     if cache_dir:
-        cached = load_cached_orbits(cache_dir, spec)
+        cached = load_cached_orbits(cache_dir, spec, budget)
         if cached is not None:
             return cached, True
     orbits = all_orbits(spec, budget)
@@ -91,7 +111,7 @@ def get_orbits(spec, budget, cache_dir):
 
 
 # ---------------------------------------------------------------------
-# per-command report builders
+# per-orbit records and the report sections built from them
 
 def _pmap(fn, items, jobs):
     if jobs <= 1 or len(items) <= 1:
@@ -100,11 +120,39 @@ def _pmap(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
+class Component:
+    """One braid orbit and the per-orbit quantities that the report
+    sections read, each derived once.  With `reduced` (r = 4): the Q''
+    reduction `rc`, its branch cycles `gammas`, `cusps` and `genus`.  With
+    `lift`: the orbit's `lift` value, or None and the ValueError
+    `lift_error` when the lift machinery does not apply."""
+
+    def __init__(self, inner, orbit, reduced, lift):
+        self.orbit = orbit
+        if reduced:
+            self.rc = reduce_orbit(orbit)
+            self.gammas = gamma_actions(self.rc)
+            self.cusps = cusps(self.rc, self.gammas[2])
+            self.genus = reduced_genus(self.rc, self.gammas, self.cusps)
+        self.lift = self.lift_error = None
+        if lift:
+            try:
+                self.lift = orbit_lift_invariant(inner, orbit)
+            except ValueError as e:
+                self.lift_error = e
+
+
+def _components(spec, orbits, jobs=1, reduced=True, lift=True):
+    """One Component per orbit, in orbit order."""
+    inner = spec.as_inner()
+    return _pmap(lambda o: Component(inner, o, reduced, lift), orbits, jobs)
+
+
 def cmd_enumerate(spec, budget, orbits):
-    forms = sorted(set().union(*[o.members for o in orbits])) if orbits \
-        else enumerate_tuples(spec, budget)
+    count = len(set().union(*[o.members for o in orbits])) if orbits \
+        else len(enumerate_tuples(spec, budget))
     classes = spec.group.classes()
-    return {"count": len(forms),
+    return {"count": count,
             "class_sizes": {lab: len(classes[lab].members)
                             for lab in spec.labels}}
 
@@ -114,7 +162,8 @@ def cmd_orbits(spec, budget, orbits, jobs=1):
                        "seed": [_to_jsonable(o.seed.labels),
                                 _to_jsonable(o.seed.entries)]}
                       for o in orbits]}
-    lat = component_lattice(spec, budget)
+    inner_orbits = orbits if spec.equivalence == "inner" else None
+    lat = component_lattice(spec, budget, inner_orbits)
     out["lattice"] = {
         "inner_sizes": [o.size for o in lat.inner_orbits],
         "absolute_sizes": [o.size for o in lat.abs_orbits],
@@ -124,54 +173,61 @@ def cmd_orbits(spec, budget, orbits, jobs=1):
     return out
 
 
-def _cusp_rows(spec, orbits, jobs):
-    def one(o):
-        rc = reduce_orbit(o)
-        cl = cusps(rc)
-        return {"orbit_size": o.size, "degree": rc.degree,
-                "cusps": [{"width": c.width, "u": c.u, "v": c.v, "f": c.f,
-                           "label": c.label} for c in cl]}
-    return _pmap(one, orbits, jobs)
+def _cusps_section(comps):
+    return {"components": [
+        {"orbit_size": c.orbit.size, "degree": c.rc.degree,
+         "cusps": [{"width": x.width, "u": x.u, "v": x.v, "f": x.f,
+                    "label": x.label} for x in c.cusps]}
+        for c in comps]}
 
 
-def cmd_cusps(spec, budget, orbits, jobs=1):
-    return {"components": _cusp_rows(spec, orbits, jobs)}
-
-
-def cmd_genus(spec, budget, orbits, jobs=1):
-    def one(o):
-        rc = reduce_orbit(o)
-        row = {"orbit_size": o.size, "degree": rc.degree,
-               "reduced_genus": reduced_genus(rc)}
-        return row
-    rows = _pmap(one, orbits, jobs)
-    out = {"components": rows}
+def _genus_section(spec, comps):
+    out = {"components": [{"orbit_size": c.orbit.size,
+                           "degree": c.rc.degree,
+                           "reduced_genus": c.genus} for c in comps]}
     if spec.T is not None:
         out["cover_genus"] = cover_genus(spec)
     return out
 
 
+def _shmatrix_section(comps):
+    rows = []
+    for c in comps:
+        mat, labels = sh_incidence(c.rc, c.cusps)
+        rows.append({"orbit_size": c.orbit.size, "labels": labels,
+                     "matrix": [[int(v) for v in row] for row in mat]})
+    return {"components": rows}
+
+
+def _lift_section(spec, comps):
+    """Raises the first orbit's lift error, if any orbit has one."""
+    for c in comps:
+        if c.lift_error is not None:
+            raise c.lift_error
+    return {"orbits": [
+        {"size": c.orbit.size, "lift": c.lift,
+         "obstructed": c.lift != 0,       # as lift.obstructed
+         "hm": any(hm_detect(spec, t) for t in c.orbit.members),
+         "di": any(di_detect(spec, t) for t in c.orbit.members),
+         "moduli_degree": lift_moduli_degree(spec.group, c.lift)}
+        for c in comps]}
+
+
+def cmd_cusps(spec, budget, orbits, jobs=1):
+    return _cusps_section(_components(spec, orbits, jobs, lift=False))
+
+
+def cmd_genus(spec, budget, orbits, jobs=1):
+    return _genus_section(spec, _components(spec, orbits, jobs, lift=False))
+
+
 def cmd_shmatrix(spec, budget, orbits, jobs=1):
-    def one(o):
-        rc = reduce_orbit(o)
-        cl = cusps(rc)
-        mat, labels = sh_incidence(rc, cl)
-        return {"orbit_size": o.size, "labels": labels,
-                "matrix": [[int(v) for v in row] for row in mat]}
-    return {"components": _pmap(one, orbits, jobs)}
+    return _shmatrix_section(_components(spec, orbits, jobs, lift=False))
 
 
 def cmd_lift(spec, budget, orbits, jobs=1):
-    inner = spec.as_inner()
-
-    def one(o):
-        val = orbit_lift_invariant(inner, o)
-        return {"size": o.size, "lift": val,
-                "obstructed": obstructed(inner, o),
-                "hm": any(hm_detect(inner, t) for t in o.members),
-                "di": any(di_detect(inner, t) for t in o.members),
-                "moduli_degree": component_moduli_degree(inner, o)}
-    return {"orbits": _pmap(one, orbits, jobs)}
+    return _lift_section(spec, _components(spec, orbits, jobs,
+                                          reduced=False))
 
 
 def cmd_tower(spec, budget, orbits, jobs=1):
@@ -189,33 +245,22 @@ def cmd_report(spec, budget, orbits, jobs=1):
     rep = {"spec": spec.to_json()}
     rep["enumerate"] = cmd_enumerate(spec, budget, orbits)
     rep["orbits"] = cmd_orbits(spec, budget, orbits, jobs)
+    comps = _components(spec, orbits, jobs, reduced=spec.r == 4)
     if spec.r == 4:
-        rep["cusps"] = cmd_cusps(spec, budget, orbits, jobs)
-        rep["genus"] = cmd_genus(spec, budget, orbits, jobs)
-        rep["shmatrix"] = cmd_shmatrix(spec, budget, orbits, jobs)
-        components = []
-        inner = spec.as_inner()
-        for o in orbits:
-            rc = reduce_orbit(o)
-            row = {"degree": rc.degree, "genus": reduced_genus(rc)}
-            try:
-                row["lift"] = orbit_lift_invariant(inner, o)
-            except ValueError:
-                pass
-            components.append(row)
-        rep["components"] = components
-        wrows = []
-        for o in orbits:
-            rc = reduce_orbit(o)
-            cl = cusps(rc)
-            wrows.append(wohlfahrt(rc, cl))
-        rep["wohlfahrt"] = wrows
-        rep["moduli"] = [moduli_checks(spec, reduce_orbit(o))
-                        for o in orbits]
-    try:
-        rep["lift"] = cmd_lift(spec, budget, orbits, jobs)
-    except ValueError:
-        pass
+        rep["cusps"] = _cusps_section(comps)
+        rep["genus"] = _genus_section(spec, comps)
+        rep["shmatrix"] = _shmatrix_section(comps)
+        rows = []
+        for c in comps:
+            row = {"degree": c.rc.degree, "genus": c.genus}
+            if c.lift is not None:
+                row["lift"] = c.lift
+            rows.append(row)
+        rep["components"] = rows
+        rep["wohlfahrt"] = [wohlfahrt(c.rc, c.cusps) for c in comps]
+        rep["moduli"] = [moduli_checks(spec, c.rc, c.gammas) for c in comps]
+    if all(c.lift_error is None for c in comps):
+        rep["lift"] = _lift_section(spec, comps)
     b = bcl_data(spec)
     rep["bcl"] = {"N_C": b.N_C, "M_inn": b.M_inn, "M_abs": b.M_abs,
                   "rational_union": b.rational_union}

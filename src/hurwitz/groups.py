@@ -808,8 +808,23 @@ class K22Z3(GroupHandle):
 # ---------------------------------------------------------------------
 # factory / serialization
 
+_GROUPS = {}
+
+
 def make_group(spec):
-    """spec: dict like {"family":"affine2","ell":5,"k":0,"order":3}."""
+    """spec: dict like {"family":"affine2","ell":5,"k":0,"order":3}.
+    Groups are interned by spec, so every caller shares one handle and its
+    element, class and canonicalization caches."""
+    if not isinstance(spec, dict):
+        raise TypeError("group spec must be a mapping, not %r" % (spec,))
+    key = tuple(sorted(spec.items()))
+    h = _GROUPS.get(key)
+    if h is None:
+        h = _GROUPS.setdefault(key, _build_group(spec))
+    return h
+
+
+def _build_group(spec):
     fam = spec["family"]
     if fam == "alternating":
         return Alternating(spec["n"])

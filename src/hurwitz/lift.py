@@ -281,8 +281,12 @@ def component_moduli_degree(spec, orbit, cover=None):
     """Orbit length of the lift value under the unit multipliers of the
     cyclic Schur multiplier (Z/ell^{k+1} for affine2 families, Z/2 for
     alternating spin)."""
-    s = orbit_lift_invariant(spec, orbit, cover)
-    h = spec.group
+    return lift_moduli_degree(spec.group,
+                              orbit_lift_invariant(spec, orbit, cover))
+
+
+def lift_moduli_degree(h, s):
+    """component_moduli_degree from the lift value s of a component of h."""
     if h.family == "affine2":
         L = h.L
         return len({u * s % L for u in _units(L)})

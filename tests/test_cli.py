@@ -79,6 +79,8 @@ def test_exit_codes(tmp_path, a4_file):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"classes": ["C+"]}))
     assert cli.run(["--spec", str(bad)]) == cli.EXIT_CONFIG
+    bad.write_text(json.dumps({**A4_SPEC, "group": ["affine2"]}))
+    assert cli.run(["--spec", str(bad)]) == cli.EXIT_CONFIG
     notjson = tmp_path / "nope.json"
     notjson.write_text("{")
     assert cli.run(["--spec", str(notjson)]) == cli.EXIT_CONFIG
@@ -136,3 +138,91 @@ def test_spec_hash_stability():
     s1 = NielsenSpec.from_json(A4_SPEC)
     s2 = NielsenSpec.from_json(json.loads(json.dumps(A4_SPEC)))
     assert cli.spec_hash(s1) == cli.spec_hash(s2)
+
+
+DI5_SPEC = {"group": {"family": "affine2", "ell": 5, "k": 0, "order": 3},
+            "classes": ["C+", "C+", "C-", "C-"],
+            "equivalence": "inner"}
+
+
+def _truncate(data):
+    return json.dumps(data)[:200]
+
+
+def _without_orbits(data):
+    return json.dumps({"spec_hash": data["spec_hash"]})
+
+
+def _drop_largest_orbit(data):
+    orbits = sorted(data["orbits"], key=len)[:-1]
+    return json.dumps({**data, "orbits": orbits})
+
+
+@pytest.mark.parametrize("corrupt", [_truncate, _without_orbits,
+                                     _drop_largest_orbit])
+def test_corrupt_cache_falls_back_to_cold_report(tmp_path, a4_file,
+                                                 corrupt):
+    code, cold = run_to_file(tmp_path, a4_file, "--cmd", "report")
+    assert code == cli.EXIT_OK
+    cache = tmp_path / "cache"
+    assert cli.run(["--spec", a4_file, "--cmd", "enumerate",
+                    "--cache", str(cache), "--out", str(tmp_path / "e")]) \
+        == cli.EXIT_OK
+    [name] = os.listdir(str(cache))
+    path = cache / name
+    path.write_text(corrupt(json.loads(path.read_text())))
+    spec = NielsenSpec.from_json(A4_SPEC)
+    assert cli.load_cached_orbits(str(cache), spec) is None
+
+    out = tmp_path / "warm"
+    assert cli.run(["--spec", a4_file, "--cmd", "report", "--out", str(out),
+                    "--cache", str(cache)]) == cli.EXIT_OK
+    assert read_report(out) == read_report(cold)
+    # the bad file was replaced by a valid one, and no temp file is left
+    assert os.listdir(str(cache)) == [name]
+    back = cli.load_cached_orbits(str(cache), spec)
+    assert [o.members for o in back] == \
+        [o.members for o in all_orbits(spec)]
+
+
+def test_cold_report_work_counts(tmp_path, a4_file, monkeypatch):
+    from hurwitz import braid, lift
+
+    calls = {}
+
+    def counted(mod, name):
+        fn = getattr(mod, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for mod, name in [(cli, "enumerate_tuples"), (braid, "enumerate_tuples"),
+                      (cli, "reduce_orbit"), (cli, "orbit_lift_invariant"),
+                      (lift, "orbit_lift_invariant")]:
+        monkeypatch.setattr(mod, name, counted(mod, name))
+    code, out = run_to_file(tmp_path, a4_file, "--cmd", "report",
+                            "--cache", str(tmp_path / "cache"))
+    assert code == cli.EXIT_OK
+    norbits = len(json.loads(read_report(out))["orbits"]["orbits"])
+    assert norbits == 2
+    assert calls == {"enumerate_tuples": 1, "reduce_orbit": norbits,
+                     "orbit_lift_invariant": norbits}
+
+
+@pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],
+                         ids=["a4", "di5"])
+def test_commands_match_report_sections(tmp_path, spec_json):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_json))
+    sections = {}
+    for cmd in ("report", "enumerate", "orbits", "cusps", "genus",
+                "shmatrix", "lift"):
+        out = tmp_path / cmd
+        assert cli.run(["--spec", str(spec_file), "--cmd", cmd,
+                        "--out", str(out)]) == cli.EXIT_OK
+        sections[cmd] = json.loads(read_report(out, cmd))
+    report = sections.pop("report")
+    for cmd, section in sections.items():
+        assert section == report[cmd], cmd

@@ -2,10 +2,10 @@
 shift sh, braid-orbit BFS over canonical forms, the braidable-
 automorphism test, and the inner/absolute component lattice."""
 
-from .groups import ConsistencyError
-from .nielsen import (NielsenTuple, NielsenSpec, inner_canonical,
-                      absolute_canonical, absolute_class_map, apply_aut,
-                      enumerate_tuples, is_nielsen, DEFAULT_BUDGET)
+from .groups import ConsistencyError, closure, partition
+from .nielsen import (NielsenTuple, NielsenSpec, inner_canonical, canonical,
+                      absolute_class_map, apply_aut, enumerate_tuples,
+                      DEFAULT_BUDGET)
 
 
 def q_twist(spec, i, t):
@@ -62,67 +62,41 @@ class BraidOrbit:
         return hash(self.members)
 
 
-def _closure(start, steps):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        new = []
-        for x in frontier:
-            for f in steps:
-                y = f(x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return seen
-
-
 def orbit(spec, seed):
     """Braid orbit of a canonical seed (BFS under q_i, sh, re-canonicalized
     after every move)."""
-    if spec.equivalence == "inner":
-        can = lambda t: inner_canonical(spec, t)
-    else:
-        can = lambda t: absolute_canonical(spec, t)
-    if can(seed) != seed:
+    if canonical(spec, seed) != seed:
         raise ValueError("seed is not canonical")
-    moves = braid_moves(spec)
-    steps = [lambda t, m=m: can(m(t)) for m in moves]
-    return BraidOrbit(spec, _closure(seed, steps))
+    moves = [lambda t, m=m: canonical(spec, m(t)) for m in braid_moves(spec)]
+    return BraidOrbit(spec, closure(seed, moves))
 
 
-def _orbit_partition(spec, forms, step_fns):
-    left = set(forms)
-    orbits = []
-    for t in sorted(forms):
-        if t not in left:
-            continue
-        members = _closure(t, step_fns)
-        if not members <= left:
-            raise ConsistencyError("braid orbit escaped the enumeration")
-        left -= members
-        orbits.append(BraidOrbit(spec, members))
-    orbits.sort(key=lambda o: o.seed)
-    return orbits
+def braid_orbits(spec, forms, cmap=None):
+    """The braid orbits on `forms`, a set of inner forms closed under the
+    braid moves, in seed order.  Given an absolute class map `cmap`, the
+    forms are its absolute forms and each move lands on the cmap image of
+    its inner form."""
+    if cmap is None:
+        moves = [lambda t, m=m: inner_canonical(spec, m(t))
+                 for m in braid_moves(spec)]
+    else:
+        moves = [lambda t, m=m: cmap[inner_canonical(spec, m(t))]
+                 for m in braid_moves(spec)]
+    return [BraidOrbit(spec, o) for o in
+            partition(forms, moves, "braid orbit escaped the enumeration")]
 
 
 def _absolute_orbits(spec, inner_forms):
     """The absolute class map of a complete set of inner forms, and the
     braid orbits on its image."""
     cmap = absolute_class_map(spec, inner_forms)
-    forms = sorted(set(cmap.values()))
-    steps = [lambda t, m=m: cmap[inner_canonical(spec, m(t))]
-             for m in braid_moves(spec)]
-    return cmap, _orbit_partition(spec, forms, steps)
+    return cmap, braid_orbits(spec, set(cmap.values()), cmap)
 
 
 def all_orbits(spec, budget=DEFAULT_BUDGET):
     """Partition of enumerate_tuples(spec) into braid orbits."""
     if spec.equivalence == "inner":
-        forms = enumerate_tuples(spec, budget)
-        can = lambda t: inner_canonical(spec, t)
-        steps = [lambda t, m=m: can(m(t)) for m in braid_moves(spec)]
-        return _orbit_partition(spec, forms, steps)
+        return braid_orbits(spec, enumerate_tuples(spec, budget))
     return _absolute_orbits(
         spec, enumerate_tuples(spec.as_inner(), budget))[1]
 

@@ -6,7 +6,6 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .groups import ConsistencyError, BudgetExceeded
 from .nielsen import (NielsenSpec, NielsenTuple, enumerate_tuples,
@@ -113,13 +112,6 @@ def get_orbits(spec, budget, cache_dir):
 # ---------------------------------------------------------------------
 # per-orbit records and the report sections built from them
 
-def _pmap(fn, items, jobs):
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 class Component:
     """One braid orbit and the per-orbit quantities that the report
     sections read, each derived once.  With `reduced` (r = 4): the Q''
@@ -142,10 +134,10 @@ class Component:
                 self.lift_error = e
 
 
-def _components(spec, orbits, jobs=1, reduced=True, lift=True):
+def _components(spec, orbits, reduced=True, lift=True):
     """One Component per orbit, in orbit order."""
     inner = spec.as_inner()
-    return _pmap(lambda o: Component(inner, o, reduced, lift), orbits, jobs)
+    return [Component(inner, o, reduced, lift) for o in orbits]
 
 
 def cmd_enumerate(spec, budget, orbits):
@@ -157,7 +149,7 @@ def cmd_enumerate(spec, budget, orbits):
                             for lab in spec.labels}}
 
 
-def cmd_orbits(spec, budget, orbits, jobs=1):
+def cmd_orbits(spec, budget, orbits):
     out = {"orbits": [{"size": o.size,
                        "seed": [_to_jsonable(o.seed.labels),
                                 _to_jsonable(o.seed.entries)]}
@@ -213,24 +205,23 @@ def _lift_section(spec, comps):
         for c in comps]}
 
 
-def cmd_cusps(spec, budget, orbits, jobs=1):
-    return _cusps_section(_components(spec, orbits, jobs, lift=False))
+def cmd_cusps(spec, budget, orbits):
+    return _cusps_section(_components(spec, orbits, lift=False))
 
 
-def cmd_genus(spec, budget, orbits, jobs=1):
-    return _genus_section(spec, _components(spec, orbits, jobs, lift=False))
+def cmd_genus(spec, budget, orbits):
+    return _genus_section(spec, _components(spec, orbits, lift=False))
 
 
-def cmd_shmatrix(spec, budget, orbits, jobs=1):
-    return _shmatrix_section(_components(spec, orbits, jobs, lift=False))
+def cmd_shmatrix(spec, budget, orbits):
+    return _shmatrix_section(_components(spec, orbits, lift=False))
 
 
-def cmd_lift(spec, budget, orbits, jobs=1):
-    return _lift_section(spec, _components(spec, orbits, jobs,
-                                          reduced=False))
+def cmd_lift(spec, budget, orbits):
+    return _lift_section(spec, _components(spec, orbits, reduced=False))
 
 
-def cmd_tower(spec, budget, orbits, jobs=1):
+def cmd_tower(spec, budget, orbits):
     inner = spec.as_inner()
     iorbs = orbits if spec.equivalence == "inner" \
         else all_orbits(inner, budget)
@@ -238,14 +229,14 @@ def cmd_tower(spec, budget, orbits, jobs=1):
     def one(o):
         above = tower_lift(inner, o, budget)
         return {"size": o.size, "level_up_orbits": [x.size for x in above]}
-    return {"orbits": _pmap(one, iorbs, jobs)}
+    return {"orbits": [one(o) for o in iorbs]}
 
 
-def cmd_report(spec, budget, orbits, jobs=1):
+def cmd_report(spec, budget, orbits):
     rep = {"spec": spec.to_json()}
     rep["enumerate"] = cmd_enumerate(spec, budget, orbits)
-    rep["orbits"] = cmd_orbits(spec, budget, orbits, jobs)
-    comps = _components(spec, orbits, jobs, reduced=spec.r == 4)
+    rep["orbits"] = cmd_orbits(spec, budget, orbits)
+    comps = _components(spec, orbits, reduced=spec.r == 4)
     if spec.r == 4:
         rep["cusps"] = _cusps_section(comps)
         rep["genus"] = _genus_section(spec, comps)
@@ -267,8 +258,8 @@ def cmd_report(spec, budget, orbits, jobs=1):
     return rep
 
 
-BUILDERS = {"enumerate": lambda s, b, o, j: cmd_enumerate(s, b, o),
-            "orbits": cmd_orbits, "cusps": cmd_cusps, "genus": cmd_genus,
+BUILDERS = {"enumerate": cmd_enumerate, "orbits": cmd_orbits,
+            "cusps": cmd_cusps, "genus": cmd_genus,
             "shmatrix": cmd_shmatrix, "lift": cmd_lift, "tower": cmd_tower,
             "report": cmd_report}
 
@@ -314,17 +305,13 @@ def to_dot(report):
     return "\n".join(lines) + "\n"
 
 
+FORMATTERS = {"json": to_json_bytes,
+              "tsv": lambda report: to_tsv(report).encode(),
+              "dot": lambda report: to_dot(report).encode()}
+
+
 def emit(report, fmt, out_dir, cmd):
-    if fmt == "json":
-        payload = to_json_bytes(report)
-    elif fmt == "tsv":
-        payload = to_tsv(report).encode()
-    elif fmt == "dot":
-        payload = to_dot(report).encode()
-    elif fmt == "text":
-        payload = to_tsv(report).encode()
-    else:
-        raise ValueError("unknown format %r" % fmt)
+    payload = FORMATTERS[fmt](report)
     if out_dir:
         os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "%s.%s" % (cmd, fmt))
@@ -346,9 +333,7 @@ def build_parser():
     p.add_argument("--spec", required=True, help="Nielsen spec JSON file")
     p.add_argument("--cmd", default="report", choices=COMMANDS)
     p.add_argument("--out", default=None, help="output directory")
-    p.add_argument("--format", default="json",
-                   choices=("json", "tsv", "dot", "text"))
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--format", default="json", choices=tuple(FORMATTERS))
     p.add_argument("--budget", type=int,
                    default=int(os.environ.get("HURWITZ_BUDGET",
                                               DEFAULT_BUDGET)))
@@ -364,15 +349,15 @@ def run(argv=None):
     try:
         with open(args.spec) as fh:
             spec = NielsenSpec.from_json(json.load(fh))
-        if args.budget <= 0 or args.jobs <= 0:
-            raise ValueError("budget and jobs must be positive")
+        if args.budget <= 0:
+            raise ValueError("budget must be positive")
     except (OSError, ValueError, KeyError, TypeError,
             json.JSONDecodeError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     try:
         orbits, _hit = get_orbits(spec, args.budget, args.cache)
-        report = BUILDERS[args.cmd](spec, args.budget, orbits, args.jobs)
+        report = BUILDERS[args.cmd](spec, args.budget, orbits)
         emit(report, args.format, args.out, args.cmd)
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)

@@ -6,6 +6,10 @@ Elements are plain (nested) tuples of ints, so they hash, compare and
 serialize for free; each GroupHandle supplies the operations.  The total
 order on elements is the lexicographic order on these tuples -- canonical
 forms downstream depend on it being stable.
+
+Every orbit computation runs on three primitives defined here: `closure`
+(BFS set), `partition` (orbits in order of their least member) and
+`cycles` (the cycles of a permutation).
 """
 
 from functools import lru_cache
@@ -19,6 +23,58 @@ class ConsistencyError(RuntimeError):
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+# ---------------------------------------------------------------------
+# the orbit engine
+
+def closure(start, moves):
+    """The set reached from `start` by the maps in `moves` (BFS)."""
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for f in moves:
+                y = f(x)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def partition(items, moves, escaped):
+    """The orbits of `moves` on `items`, as frozensets in order of their
+    least member.  An orbit that leaves `items` raises ConsistencyError
+    with the message `escaped`."""
+    left = set(items)
+    orbits = []
+    for t in sorted(left):
+        if t in left:
+            orbit = closure(t, moves)
+            if not orbit <= left:
+                raise ConsistencyError(escaped)
+            left -= orbit
+            orbits.append(frozenset(orbit))
+    return orbits
+
+
+def cycles(perm, domain):
+    """The cycles of the permutation `perm` (indexed by point) on
+    `domain`, each a list starting at its first point in domain order."""
+    seen = set()
+    out = []
+    for t in domain:
+        if t not in seen:
+            cyc = []
+            x = t
+            while x not in seen:
+                seen.add(x)
+                cyc.append(x)
+                x = perm[x]
+            out.append(cyc)
+    return out
 
 
 def inverse_mod(a, m):
@@ -87,10 +143,6 @@ class GroupHandle:
         raise NotImplementedError
 
     # -- generic machinery --------------------------------------------
-    @property
-    def one(self):
-        return self.identity
-
     def elements(self):
         if not hasattr(self, "_elements"):
             self._check_enumerable()
@@ -133,12 +185,12 @@ class GroupHandle:
     def gens(self):
         """A small generating set, found greedily in element order."""
         if self._gens is None:
-            gens, closure = [], {self.identity}
+            gens, span = [], {self.identity}
             for g in self.elements():
-                if g not in closure:
+                if g not in span:
                     gens.append(g)
-                    closure = self.subgroup_closure(gens)
-                    if len(closure) == self.order:
+                    span = self.subgroup_closure(gens)
+                    if len(span) == self.order:
                         break
             self._gens = gens
         return self._gens
@@ -163,8 +215,8 @@ class GroupHandle:
     def generates(self, elems):
         # any proper subgroup has order <= |G|/2, so stop early
         bound = self.order // 2
-        closure = self.subgroup_closure(elems, limit=bound)
-        return len(closure) > bound
+        span = self.subgroup_closure(elems, limit=bound)
+        return len(span) > bound
 
     def class_of(self, g):
         if not hasattr(self, "_class_index"):
@@ -174,31 +226,20 @@ class GroupHandle:
                     self._class_index[x] = cl
         return self._class_index[g]
 
+    def _conj_moves(self):
+        return [lambda x, h=h: self.conj(x, h) for h in self.gens()]
+
     def conj_class(self, g):
-        seen = {g}
-        frontier = [g]
-        gens = self.gens()
-        while frontier:
-            new = []
-            for x in frontier:
-                for h in gens:
-                    y = self.conj(x, h)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        members = frozenset(seen)
+        members = frozenset(closure(g, self._conj_moves()))
         return ConjClass("?", min(members), members, self.elem_order(g))
 
     def classes(self):
         if self._classes is None:
             raw = []
-            left = set(self.elements())
-            while left:
-                cl = self.conj_class(min(left))
-                left -= cl.members
-                raw.append(cl)
-            raw.sort(key=lambda c: c.rep)
+            for members in partition(self.elements(), self._conj_moves(),
+                                     "conjugacy class escaped the group"):
+                rep = min(members)
+                raw.append(ConjClass("?", rep, members, self.elem_order(rep)))
             self._classes = self._label_classes(raw)
         return self._classes
 
@@ -242,26 +283,10 @@ class GroupHandle:
     def coset_action_orbit_count(self, g, T):
         """Number of <g>-orbits on the cosets of stabilizer(T)."""
         H = frozenset(self.stabilizer(T))
-        reps = {}
-        for x in self.elements():
-            key = min(self.mul(x, h) for h in H)
-            reps.setdefault(key, key)
-        cosets = sorted(reps)
-        index = {c: i for i, c in enumerate(cosets)}
-
-        def act(c):
-            return min(self.mul(self.mul(g, c), h) for h in H)
-
-        seen, orbits = set(), 0
-        for c in cosets:
-            if index[c] in seen:
-                continue
-            orbits += 1
-            x = c
-            while index[x] not in seen:
-                seen.add(index[x])
-                x = act(x)
-        return orbits, len(cosets)
+        cosets = sorted({min(self.mul(x, h) for h in H)
+                         for x in self.elements()})
+        act ={c: min(self.mul(self.mul(g, c), h) for h in H) for c in cosets}
+        return len(cycles(act, cosets)), len(cosets)
 
 
 # ---------------------------------------------------------------------
@@ -273,19 +298,8 @@ def _pmul(p, q):
 
 
 def _cycle_type(p):
-    n = len(p)
-    seen = [False] * n
-    parts = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        ln, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            ln += 1
-        parts.append(ln)
-    return tuple(sorted(parts, reverse=True))
+    return tuple(sorted((len(c) for c in cycles(p, range(len(p)))),
+                        reverse=True))
 
 
 def _parity(p):
@@ -344,16 +358,7 @@ class PermGroup(GroupHandle):
 
     def coset_action_orbit_count(self, g, T):
         if T == "natural":
-            seen, orbits = set(), 0
-            for i in range(self.n):
-                if i in seen:
-                    continue
-                orbits += 1
-                j = i
-                while j not in seen:
-                    seen.add(j)
-                    j = g[j]
-            return orbits, self.n
+            return len(cycles(g, range(self.n))), self.n
         return super().coset_action_orbit_count(g, T)
 
 
@@ -633,26 +638,13 @@ class Affine2(GroupHandle):
         mats = {M for _, M in units}
         I = ((1, 0), (0, 1))
 
-        def closure_of(gens):
-            seen = {I}
-            frontier = [I]
-            while frontier:
-                new = []
-                for X in frontier:
-                    for g in gens:
-                        Y = _matmul(X, g, self.L)
-                        if Y not in seen:
-                            seen.add(Y)
-                            new.append(Y)
-                frontier = new
-            return seen
-
-        gens, closure = [], {I}
+        gens, span = [], {I}
         for (x, y), M in units:
-            if M not in closure:
+            if M not in span:
                 gens.append(("u%d,%d" % (x, y), M))
-                closure = closure_of([g for _, g in gens])
-                if len(closure) == len(mats):
+                span = closure(I, [lambda X, g=g: _matmul(X, g, self.L)
+                                   for _, g in gens])
+                if len(span) == len(mats):
                     break
         return gens
 
@@ -839,18 +831,6 @@ def _build_group(spec):
     if fam == "k22z3":
         return K22Z3(spec["ell"], spec["k"])
     raise ValueError("unsupported family %r" % fam)
-
-
-def conj_class(h, g):
-    return h.conj_class(g)
-
-
-def generates(h, elems):
-    return h.generates(elems)
-
-
-def center(h):
-    return h.center()
 
 
 def cen_in_Sn(h, T):

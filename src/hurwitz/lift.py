@@ -5,11 +5,10 @@ obstruction and level lifting, and BCL cyclotomic data."""
 import math
 
 from .groups import (make_group, central_extension, central_lift,
-                     ConsistencyError)
+                     ConsistencyError, closure, cycles)
 from .nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                       enumerate_tuples, DEFAULT_BUDGET)
-from .braid import BraidOrbit, braid_moves, _orbit_partition
-from .nielsen import _class_data  # shared canonicalization cache
+from .braid import braid_orbits
 
 
 def _cover_for(spec, cover=None):
@@ -59,15 +58,8 @@ def an_spin(spec, t):
 
 def _omega(p):
     total = 0
-    seen = [False] * len(p)
-    for i in range(len(p)):
-        if seen[i]:
-            continue
-        u, j = 0, i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            u += 1
+    for cyc in cycles(p, range(len(p))):
+        u = len(cyc)
         if u % 2 == 0:
             raise ValueError("even cycle length %d: spin needs odd orders" % u)
         total += (u * u - 1) // 8
@@ -189,9 +181,7 @@ def tower_lift(spec, orbit, budget=DEFAULT_BUDGET):
         base = inner_canonical(spec, NielsenTuple(labels, entries))
         if base in orbit.members:
             selected.append(t)
-    can = lambda t: inner_canonical(child_spec, t)
-    steps = [lambda t, m=m: can(m(t)) for m in braid_moves(child_spec)]
-    out = _orbit_partition(child_spec, selected, steps)
+    out = braid_orbits(child_spec, selected)
     if h.family == "affine2":
         base_val = orbit_lift_invariant(spec, orbit)
         for o in out:
@@ -259,19 +249,10 @@ def bcl_data(spec):
     M_inn = [u for u in _units(N) if powered(u) == base]
 
     # orbit of the label multiset under the automorphism generators
-    gens = h.aut_gens(spec.labels)
-    reachable = {base}
-    frontier = [base]
-    while frontier:
-        new = []
-        for ms in frontier:
-            for a in gens:
-                img = tuple(sorted(h.class_of(a(h.classes()[lab].rep)).label
-                                   for lab in ms))
-                if img not in reachable:
-                    reachable.add(img)
-                    new.append(img)
-        frontier = new
+    reachable = closure(base, [
+        lambda ms, a=a: tuple(sorted(h.class_of(a(h.classes()[lab].rep)).label
+                                     for lab in ms))
+        for a in h.aut_gens(spec.labels)])
     M_abs = [u for u in _units(N) if powered(u) in reachable]
 
     return BCLData(N, M_inn, M_abs, len(M_inn) == len(_units(N)))

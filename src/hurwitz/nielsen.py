@@ -10,9 +10,9 @@ assignment intact.
 
 from itertools import product, permutations
 from typing import NamedTuple
-import math
 
-from .groups import make_group, ConsistencyError, BudgetExceeded
+from .groups import (make_group, ConsistencyError, BudgetExceeded, closure,
+                     partition, cycles)
 
 
 class NielsenTuple(NamedTuple):
@@ -139,23 +139,14 @@ def apply_aut(spec, a, t):
     return inner_canonical(spec, NielsenTuple(labels, entries))
 
 
+def _aut_moves(spec):
+    return [lambda t, a=a: apply_aut(spec, a, t) for a in spec.aut_gens()]
+
+
 def absolute_canonical(spec, t):
     """Min over the closure of the inner form under the automorphism
     generators (the same value the orbit machinery assigns)."""
-    seed = inner_canonical(spec, t)
-    gens = spec.aut_gens()
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        new = []
-        for x in frontier:
-            for a in gens:
-                y = apply_aut(spec, a, x)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        frontier = new
-    return min(seen)
+    return min(closure(inner_canonical(spec, t), _aut_moves(spec)))
 
 
 def canonical(spec, t):
@@ -210,28 +201,12 @@ def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
 def absolute_class_map(spec, inner_forms):
     """inner canonical form -> absolute canonical form (min of its
     automorphism-closure component), over a complete set of inner forms."""
-    gens = spec.aut_gens()
-    universe = set(inner_forms)
-    parent = {t: t for t in inner_forms}
-
-    def find(x):
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for t in inner_forms:
-        for a in gens:
-            u = apply_aut(spec, a, t)
-            if u not in universe:
-                raise ConsistencyError(
-                    "automorphism image %r left the enumeration" % (u,))
-            ra, rb = find(t), find(u)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return {t: find(t) for t in inner_forms}
+    cmap = {}
+    for o in partition(inner_forms, _aut_moves(spec),
+                       "automorphism orbit left the enumeration"):
+        rep = min(o)
+        cmap.update(dict.fromkeys(o, rep))
+    return cmap
 
 
 def unpinned_enumerate(spec, budget=DEFAULT_BUDGET):
@@ -339,17 +314,11 @@ def pure_cycle_reduce(spec):
 
 
 def _cycles_as_perms(p, n):
-    seen = [False] * n
     out = []
-    for i in range(n):
-        if seen[i] or p[i] == i:
-            seen[i] = True
-            continue
-        cyc = list(range(n))
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            cyc[j] = p[j]
-            j = p[j]
-        out.append(tuple(cyc))
+    for cyc in cycles(p, range(n)):
+        if len(cyc) > 1:
+            perm = list(range(n))
+            for j in cyc:
+                perm[j] = p[j]
+            out.append(tuple(perm))
     return out

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from .groups import ConsistencyError, gl_orders, cen_in_Sn
+from .groups import (ConsistencyError, gl_orders, cen_in_Sn, closure,
+                     partition, cycles)
 from .nielsen import inner_canonical
 from .braid import q_twist, q_untwist, sh
 
@@ -72,27 +73,12 @@ def reduce_orbit(orbit):
     if spec.equivalence != "inner":
         raise ValueError("reduction acts on inner classes")
     moves = [f for _, f in _qq_elements(spec)[1:]]
-    left = set(orbit.members)
     qq = {}
-    while left:
-        t = min(left)
-        seen = {t}
-        frontier = [t]
-        while frontier:
-            new = []
-            for x in frontier:
-                for f in moves:
-                    y = f(x)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        if len(seen) not in (1, 2, 4):
-            raise ConsistencyError("Q'' orbit of size %d" % len(seen))
-        if not seen <= left:
-            raise ConsistencyError("Q'' orbit escaped the braid orbit")
-        left -= seen
-        qq[min(seen)] = frozenset(seen)
+    for o in partition(orbit.members, moves,
+                       "Q'' orbit escaped the braid orbit"):
+        if len(o) not in (1, 2, 4):
+            raise ConsistencyError("Q'' orbit of size %d" % len(o))
+        qq[min(o)] = o
     return ReducedClass(spec, orbit, qq)
 
 
@@ -116,22 +102,6 @@ def gamma_actions(rc):
         if gi[g1[g0[t]]] != t:
             raise ConsistencyError("gamma_0 gamma_1 gamma_infty != 1")
     return g0, g1, gi
-
-
-def _perm_cycles(perm, domain):
-    seen = set()
-    cycles = []
-    for t in domain:
-        if t in seen:
-            continue
-        cyc = []
-        x = t
-        while x not in seen:
-            seen.add(x)
-            cyc.append(x)
-            x = perm[x]
-        cycles.append(cyc)
-    return cycles
 
 
 class CuspOrbit:
@@ -179,22 +149,14 @@ def cusps(rc, gi=None):
     if gi is None:
         gi = gamma_actions(rc)[2]
     out = []
-    for a, cyc in enumerate(_perm_cycles(gi, rc.reps)):
+    for a, cyc in enumerate(cycles(gi, rc.reps)):
         width = len(cyc)
         t = min(min(rc.qq_orbits[r]) for r in cyc)
         # q2 orbit of the inner class t
-        orb = [t]
-        x = _q2(spec, t)
-        while x != t:
-            orb.append(x)
-            x = _q2(spec, x)
-        vlen = len(orb)
+        orbset = closure(t, [lambda x: _q2(spec, x)])
+        vlen = len(orbset)
         # q2 orbit of the raw tuple: the object Prop.-predicted by (u,v)
-        raw_v = 1
-        x = q_twist(spec, 2, t)
-        while x != t:
-            x = q_twist(spec, 2, x)
-            raw_v += 1
+        raw_v = len(closure(t, [lambda x: q_twist(spec, 2, x)]))
         u, v_pred = _middle_product_uv(spec, t)
         if v_pred != raw_v:
             raise ConsistencyError(
@@ -202,7 +164,6 @@ def cusps(rc, gi=None):
                 "(u=%d, seed %s)" % (v_pred, raw_v, u, (t,)))
         if raw_v % vlen:
             raise ConsistencyError("inner q2 orbit does not divide raw")
-        orbset = set(orb)
         stab_g = sum(1 for _, f in _qq_elements(spec) if f(t) == t)
         stab_o = sum(1 for _, f in _qq_elements(spec) if f(t) in orbset)
         if stab_o % stab_g:
@@ -234,8 +195,8 @@ def reduced_genus(rc, gammas=None, cusp_list=None):
     g2 = rhs / 2 + 1 - d
     if g2 != int(g2) or g2 < 0:
         raise ConsistencyError("formula genus %r not a genus" % g2)
-    c0 = len(_perm_cycles(g0, rc.reps))
-    c1 = len(_perm_cycles(g1, rc.reps))
+    c0 = len(cycles(g0, rc.reps))
+    c1 = len(cycles(g1, rc.reps))
     ci = len(cusp_list)
     euler = d - c0 - c1 - ci
     if euler % 2:
@@ -365,20 +326,6 @@ def _psl2_sylow_cusp_type(N, sub, limit=2000):
             o += 1
         return o
 
-    def closure(gens):
-        seen = {I}
-        frontier = [I]
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in gens:
-                    y = norm(mul(x, g))
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-            frontier = new
-        return seen
-
     def inv(x):
         a, b, c, d = x
         return (d % N, (-b) % N, (-c) % N, a % N)
@@ -397,7 +344,8 @@ def _psl2_sylow_cusp_type(N, sub, limit=2000):
                 continue
             # x normalizes H?
             if all(norm(mul(mul(x, h), inv(x))) in H for h in H):
-                cand = closure(gens + [x])
+                cand = closure(I, [lambda y, g=g: norm(mul(y, g))
+                                   for g in gens + [x]])
                 if len(cand) == p ** _valuation(len(cand), p) \
                         and len(cand) <= sub:
                     gens.append(x)
@@ -414,17 +362,7 @@ def _psl2_sylow_cusp_type(N, sub, limit=2000):
     reps = sorted({coset(x) for x in P})
     T = (1, 1 % N, 0, 1)
     perm = {r: coset(mul(T, r)) for r in reps}
-    seen, ct = set(), []
-    for r in reps:
-        if r in seen:
-            continue
-        n, x = 0, r
-        while x not in seen:
-            seen.add(x)
-            x = perm[x]
-            n += 1
-        ct.append(n)
-    return sorted(ct)
+    return sorted(len(c) for c in cycles(perm, reps))
 
 
 def _valuation(n, p):

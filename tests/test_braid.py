@@ -3,9 +3,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz.groups import make_group
+from hurwitz.groups import make_group, partition, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
-                             inner_canonical, enumerate_tuples)
+                             inner_canonical, enumerate_tuples,
+                             absolute_class_map)
 from hurwitz.braid import (q_twist, q_untwist, sh, braid_moves, orbit,
                            all_orbits, braidable, component_lattice)
 
@@ -99,6 +100,23 @@ def test_orbit_matches_partition(a4_spec):
         # rebuilding from any member gives the same orbit
         again = orbit(a4_spec, min(o.members))
         assert again == o
+
+
+def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms):
+    # the escape gate shared by every partition: a set of forms that is
+    # not closed under the moves is an internal inconsistency, never a
+    # smaller orbit
+    [big] = [o for o in all_orbits(a4_spec) if o.size == 18]
+    forms = set(a4_forms) - {min(big.members)}
+    moves = [lambda t, m=m: inner_canonical(a4_spec, m(t))
+             for m in braid_moves(a4_spec)]
+    with pytest.raises(ConsistencyError, match="escaped the enumeration"):
+        partition(forms, moves, "braid orbit escaped the enumeration")
+    abs_spec = spec_of(A4, ("C+", "C+", "C-", "C-"), "absolute")
+    cmap = absolute_class_map(abs_spec, a4_forms)
+    moved = next(t for t, root in cmap.items() if t != root)
+    with pytest.raises(ConsistencyError, match="left the enumeration"):
+        absolute_class_map(abs_spec, [t for t in a4_forms if t != moved])
 
 
 def test_orbit_rejects_noncanonical_seed(a4_spec, a4_forms):

@@ -1,10 +1,11 @@
+import importlib.util
 import json
 import os
 
 import pytest
 
 from hurwitz import cli
-from hurwitz.groups import make_group
+from hurwitz.groups import GroupHandle, make_group
 from hurwitz.nielsen import NielsenSpec
 from hurwitz.braid import all_orbits
 
@@ -49,14 +50,15 @@ def test_report_a4_contents(tmp_path, a4_file):
     assert lifts[0]["hm"] and not lifts[1]["hm"]
 
 
-def test_deterministic_across_jobs_and_cache(tmp_path, a4_file):
+def test_deterministic_across_cache(tmp_path, a4_file):
+    # without a cache, filling the cache, and reading it back
     cache = tmp_path / "cache"
     outs = []
-    for i, jobs in enumerate(("1", "4", "1")):
+    for i, extra in enumerate(([], ["--cache", str(cache)],
+                               ["--cache", str(cache)])):
         out = tmp_path / ("out%d" % i)
         code = cli.run(["--spec", a4_file, "--cmd", "report",
-                        "--out", str(out), "--jobs", jobs,
-                        "--cache", str(cache)])
+                        "--out", str(out), *extra])
         assert code == cli.EXIT_OK
         outs.append(read_report(out))
     assert outs[0] == outs[1] == outs[2]
@@ -89,6 +91,10 @@ def test_exit_codes(tmp_path, a4_file):
     assert cli.run(["--spec", a4_file, "--budget", "3"]) == cli.EXIT_BUDGET
     assert cli.run(["--spec", a4_file, "--budget", "-1"]) == cli.EXIT_CONFIG
     assert cli.run(["--spec", a4_file, "--cmd", "bogus"]) == cli.EXIT_CONFIG
+    # removed options are rejected by the parser
+    assert cli.run(["--spec", a4_file, "--jobs", "2"]) == cli.EXIT_CONFIG
+    assert cli.run(["--spec", a4_file, "--format", "text"]) == \
+        cli.EXIT_CONFIG
 
 
 def test_all_commands_run(tmp_path, a4_file):
@@ -132,6 +138,22 @@ def test_env_overrides(tmp_path, a4_file, monkeypatch):
     assert cli.run(["--spec", a4_file, "--cmd", "enumerate",
                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
     assert os.path.isdir(str(cache))
+
+
+def test_benchmark_tracer_names_resolve():
+    # perfbench/tracer.py looks these names up with getattr in its traced
+    # runs, so a rename here would break the benchmark's --trace mode
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                        os.pardir, "perfbench", "tracer.py")
+    mspec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(mspec)
+    mspec.loader.exec_module(tracer)
+    for mod, name in tracer.FUNCTIONS:
+        assert callable(getattr(tracer.MODULES[mod], name, None)), (mod, name)
+    for meth in tracer.METHODS:
+        assert callable(getattr(GroupHandle, meth, None)), meth
+    assert callable(cli._cache_path)
+    assert set(cli.BUILDERS) == set(cli.COMMANDS)
 
 
 def test_spec_hash_stability():

@@ -46,11 +46,16 @@ def braid_moves(spec):
 
 
 class BraidOrbit:
-    def __init__(self, spec, members):
+    """One braid orbit.  `moves` is the move table: for each map of
+    braid_moves(spec), a dict from every form (at least every member) to
+    the form its move lands on."""
+
+    def __init__(self, spec, members, moves):
         self.spec = spec
         self.members = frozenset(members)
         self.seed = min(members)
         self.size = len(self.members)
+        self.moves = moves
 
     def __repr__(self):
         return "BraidOrbit(size=%d, seed=%s)" % (self.size, (self.seed,))
@@ -64,26 +69,31 @@ class BraidOrbit:
 
 def orbit(spec, seed):
     """Braid orbit of a canonical seed (BFS under q_i, sh, re-canonicalized
-    after every move)."""
+    after every move); its move table records each move the BFS makes."""
     if canonical(spec, seed) != seed:
         raise ValueError("seed is not canonical")
-    moves = [lambda t, m=m: canonical(spec, m(t)) for m in braid_moves(spec)]
-    return BraidOrbit(spec, closure(seed, moves))
+    table = [{} for _ in range(spec.r)]
+    moves = [lambda t, m=m, d=d: d.setdefault(t, canonical(spec, m(t)))
+             for m, d in zip(braid_moves(spec), table)]
+    return BraidOrbit(spec, closure(seed, moves), table)
 
 
 def braid_orbits(spec, forms, cmap=None):
     """The braid orbits on `forms`, a set of inner forms closed under the
-    braid moves, in seed order.  Given an absolute class map `cmap`, the
+    braid moves, in seed order.  Each move is applied once per form, and
+    its canonical image is mapped back to the form object in `forms`; the
+    orbits share this move table.  Given an absolute class map `cmap`, the
     forms are its absolute forms and each move lands on the cmap image of
     its inner form."""
-    if cmap is None:
-        moves = [lambda t, m=m: inner_canonical(spec, m(t))
-                 for m in braid_moves(spec)]
-    else:
-        moves = [lambda t, m=m: cmap[inner_canonical(spec, m(t))]
-                 for m in braid_moves(spec)]
-    return [BraidOrbit(spec, o) for o in
-            partition(forms, moves, "braid orbit escaped the enumeration")]
+    form_of = {t: t for t in forms}
+    if cmap is not None:
+        form_of = {t: form_of.get(a) for t, a in cmap.items()}
+    # an image outside `forms` is None, which partition reports as escaped
+    table = [{t: form_of.get(inner_canonical(spec, m(t))) for t in forms}
+             for m in braid_moves(spec)]
+    return [BraidOrbit(spec, o, table) for o in
+            partition(forms, [d.get for d in table],
+                      "braid orbit escaped the enumeration")]
 
 
 def _absolute_orbits(spec, inner_forms):

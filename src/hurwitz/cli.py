@@ -8,11 +8,11 @@ import os
 import sys
 
 from .groups import ConsistencyError, BudgetExceeded
-from .nielsen import (NielsenSpec, NielsenTuple, enumerate_tuples,
-                      cover_genus, hm_detect, di_detect, DEFAULT_BUDGET)
-from .braid import all_orbits, BraidOrbit, component_lattice
-from .reduced import (reduce_orbit, gamma_actions, cusps, reduced_genus,
-                      sh_incidence, moduli_checks, wohlfahrt)
+from .nielsen import (NielsenSpec, enumerate_tuples, cover_genus,
+                      hm_detect, di_detect, DEFAULT_BUDGET)
+from .braid import all_orbits, component_lattice
+from .reduced import (reduce_orbit, reduced_genus, sh_incidence,
+                      moduli_checks, wohlfahrt)
 from .lift import (orbit_lift_invariant, tower_lift, lift_moduli_degree,
                    bcl_data)
 
@@ -33,12 +33,6 @@ def _to_jsonable(x):
     return x
 
 
-def _to_tuple(x):
-    if isinstance(x, list):
-        return tuple(_to_tuple(v) for v in x)
-    return x
-
-
 def spec_hash(spec):
     blob = json.dumps(spec.to_json(), sort_keys=True,
                       separators=(",", ":")).encode()
@@ -52,11 +46,18 @@ def _cache_path(cache_dir, spec):
     return os.path.join(cache_dir, "orbits-%s.json" % spec_hash(spec)[:24])
 
 
+def _cache_data(spec, orbits):
+    return {"spec_hash": spec_hash(spec),
+            "orbits": [[[_to_jsonable(t.labels), _to_jsonable(t.entries)]
+                        for t in sorted(o.members)] for o in orbits]}
+
+
 def load_cached_orbits(cache_dir, spec, budget=DEFAULT_BUDGET):
-    """The cached braid orbits of spec, sorted by seed; None when there is
-    no cache file or it does not hold a partition of the Nielsen class
-    (unparsable JSON, missing or malformed "orbits", overlapping orbits, or
-    members other than exactly the enumerated forms), so that the caller
+    """The braid orbits of spec, in seed order, when its cache file holds
+    exactly what store_cached_orbits writes for them: the orbits of the
+    move table built over the enumerated forms.  None when there is no
+    cache file or it holds anything else (unparsable JSON, other forms, or
+    a partition other than the braid orbits), so that the caller
     recomputes and overwrites it."""
     path = _cache_path(cache_dir, spec)
     if not os.path.exists(path):
@@ -64,34 +65,22 @@ def load_cached_orbits(cache_dir, spec, budget=DEFAULT_BUDGET):
     try:
         with open(path) as fh:
             data = json.load(fh)
-        if not isinstance(data, dict) or \
-                data.get("spec_hash") != spec_hash(spec):
-            return None
-        orbits = [BraidOrbit(spec, [NielsenTuple(_to_tuple(l), _to_tuple(e))
-                                    for l, e in members])
-                  for members in data["orbits"]]
-    except (ValueError, KeyError, TypeError):
+    except ValueError:
         return None
-    forms = set().union(*(o.members for o in orbits))
-    if len(forms) != sum(o.size for o in orbits) or \
-            forms != set(enumerate_tuples(spec, budget)):
-        return None
-    orbits.sort(key=lambda o: o.seed)
-    return orbits
+    orbits = all_orbits(spec, budget)
+    return orbits if data == _cache_data(spec, orbits) else None
 
 
 def store_cached_orbits(cache_dir, spec, orbits):
     """Write the orbit cache atomically: a reader sees the old file or the
     whole new one, never a partial write."""
     os.makedirs(cache_dir, exist_ok=True)
-    data = {"spec_hash": spec_hash(spec),
-            "orbits": [[[_to_jsonable(t.labels), _to_jsonable(t.entries)]
-                        for t in sorted(o.members)] for o in orbits]}
     path = _cache_path(cache_dir, spec)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
         with open(tmp, "w") as fh:
-            json.dump(data, fh, sort_keys=True, separators=(",", ":"))
+            json.dump(_cache_data(spec, orbits), fh, sort_keys=True,
+                      separators=(",", ":"))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -115,17 +104,15 @@ def get_orbits(spec, budget, cache_dir):
 class Component:
     """One braid orbit and the per-orbit quantities that the report
     sections read, each derived once.  With `reduced` (r = 4): the Q''
-    reduction `rc`, its branch cycles `gammas`, `cusps` and `genus`.  With
-    `lift`: the orbit's `lift` value, or None and the ValueError
-    `lift_error` when the lift machinery does not apply."""
+    reduction `rc`, which carries its branch cycles and cusps, and its
+    `genus`.  With `lift`: the orbit's `lift` value, or None and the
+    ValueError `lift_error` when the lift machinery does not apply."""
 
     def __init__(self, inner, orbit, reduced, lift):
         self.orbit = orbit
         if reduced:
             self.rc = reduce_orbit(orbit)
-            self.gammas = gamma_actions(self.rc)
-            self.cusps = cusps(self.rc, self.gammas[2])
-            self.genus = reduced_genus(self.rc, self.gammas, self.cusps)
+            self.genus = reduced_genus(self.rc)
         self.lift = self.lift_error = None
         if lift:
             try:
@@ -169,7 +156,7 @@ def _cusps_section(comps):
     return {"components": [
         {"orbit_size": c.orbit.size, "degree": c.rc.degree,
          "cusps": [{"width": x.width, "u": x.u, "v": x.v, "f": x.f,
-                    "label": x.label} for x in c.cusps]}
+                    "label": x.label} for x in c.rc.cusps]}
         for c in comps]}
 
 
@@ -185,7 +172,7 @@ def _genus_section(spec, comps):
 def _shmatrix_section(comps):
     rows = []
     for c in comps:
-        mat, labels = sh_incidence(c.rc, c.cusps)
+        mat, labels = sh_incidence(c.rc)
         rows.append({"orbit_size": c.orbit.size, "labels": labels,
                      "matrix": [[int(v) for v in row] for row in mat]})
     return {"components": rows}
@@ -248,8 +235,8 @@ def cmd_report(spec, budget, orbits):
                 row["lift"] = c.lift
             rows.append(row)
         rep["components"] = rows
-        rep["wohlfahrt"] = [wohlfahrt(c.rc, c.cusps) for c in comps]
-        rep["moduli"] = [moduli_checks(spec, c.rc, c.gammas) for c in comps]
+        rep["wohlfahrt"] = [wohlfahrt(c.rc) for c in comps]
+        rep["moduli"] = [moduli_checks(spec, c.rc) for c in comps]
     if all(c.lift_error is None for c in comps):
         rep["lift"] = _lift_section(spec, comps)
     b = bcl_data(spec)

@@ -12,7 +12,6 @@ Every orbit computation runs on three primitives defined here: `closure`
 `cycles` (the cycles of a permutation).
 """
 
-from functools import lru_cache
 from itertools import permutations, product
 import math
 
@@ -124,6 +123,7 @@ class GroupHandle:
         self._order_cache = {}
         self._classes = None
         self._gens = None
+        self._memo = {}
 
     def _check_enumerable(self):
         # element-level operations (elements/classes) only; pointwise
@@ -143,6 +143,14 @@ class GroupHandle:
         raise NotImplementedError
 
     # -- generic machinery --------------------------------------------
+    def memo(self, fn, *args):
+        """fn(*args), computed once per handle: make_group interns handles,
+        so every spec over the group shares the value."""
+        key = (fn, args)
+        if key not in self._memo:
+            self._memo[key] = fn(*args)
+        return self._memo[key]
+
     def elements(self):
         if not hasattr(self, "_elements"):
             self._check_enumerable()
@@ -848,9 +856,7 @@ def cen_in_Sn(h, T):
 # ---------------------------------------------------------------------
 # generic automorphism fallback (|G| <= 500)
 
-@lru_cache(maxsize=None)
-def _automorphism_maps(h_key):
-    h = _FALLBACK_REGISTRY[h_key]
+def _automorphism_maps(h):
     if h.order > 500:
         raise ValueError("no built-in automorphism data and |G|=%d > 500"
                          % h.order)
@@ -892,13 +898,8 @@ def _extend_hom(h, gens, images):
     return m
 
 
-_FALLBACK_REGISTRY = {}
-
-
 def fallback_aut_gens(h, labels):
-    key = tuple(sorted(h.to_spec().items()))
-    _FALLBACK_REGISTRY[key] = h
-    maps = _automorphism_maps(key)
+    maps = h.memo(_automorphism_maps, h)
     auts = [Automorphism("aut%d" % i, lambda g, m=m: m[g])
             for i, m in enumerate(maps)]
     return [a for a in auts if _aut_preserves(h, a, labels)]

@@ -28,12 +28,7 @@ def _cover_for(spec, cover=None):
         if (cover == "heis2") != (h.aut_order == 2):
             raise ValueError("cover %r incompatible with aut order %d"
                              % (cover, h.aut_order))
-        cache = getattr(spec, "_cover_cache", None)
-        if cache is None:
-            cache = spec._cover_cache = {}
-        if cover not in cache:
-            cache[cover] = central_extension(cover, h.ell, h.k)
-        return cache[cover]
+        return h.memo(central_extension, cover, h.ell, h.k)
     return cover
 
 

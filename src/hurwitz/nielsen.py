@@ -36,7 +36,6 @@ class NielsenSpec:
             if lab not in classes:
                 raise ValueError("no class labelled %r in %s (have %s)"
                                  % (lab, group.family, sorted(classes)))
-        self._aut_gens = None
 
     def as_inner(self):
         if self.equivalence == "inner":
@@ -44,9 +43,7 @@ class NielsenSpec:
         return NielsenSpec(self.group, self.labels, "inner", self.T)
 
     def aut_gens(self):
-        if self._aut_gens is None:
-            self._aut_gens = self.group.aut_gens(self.labels)
-        return self._aut_gens
+        return self.group.memo(self.group.aut_gens, self.labels)
 
     def key(self):
         return (tuple(sorted(self.group.to_spec().items())), self.labels,
@@ -70,31 +67,27 @@ class NielsenSpec:
 # per-(group, label) canonicalization data
 
 def _class_data(h, label):
-    cache = getattr(h, "_nclass_data", None)
-    if cache is None:
-        cache = h._nclass_data = {}
-    cd = cache.get(label)
-    if cd is None:
-        cl = h.classes()[label]
-        rep = cl.rep
-        # transporter[x] = t with t x t^{-1} = rep, by BFS from rep
-        transporter = {rep: h.identity}
-        frontier = [rep]
-        gens = h.gens()
-        while frontier:
-            new = []
-            for x in frontier:
-                tx = transporter[x]
-                for g in gens:
-                    y = h.conj(x, h.inv(g))      # x = g y g^{-1}
-                    if y not in transporter:
-                        transporter[y] = h.mul(tx, g)
-                        new.append(y)
-            frontier = new
-        if len(transporter) != len(cl.members):
-            raise ConsistencyError("transporter misses class members")
-        cd = cache[label] = (rep, transporter, h.centralizer(rep))
-    return cd
+    """(rep, transporter, centralizer of rep) for the class `label`; read
+    through h.memo, so it is built once per group."""
+    cl = h.classes()[label]
+    rep = cl.rep
+    # transporter[x] = t with t x t^{-1} = rep, by BFS from rep
+    transporter = {rep: h.identity}
+    frontier = [rep]
+    gens = h.gens()
+    while frontier:
+        new = []
+        for x in frontier:
+            tx = transporter[x]
+            for g in gens:
+                y = h.conj(x, h.inv(g))      # x = g y g^{-1}
+                if y not in transporter:
+                    transporter[y] = h.mul(tx, g)
+                    new.append(y)
+        frontier = new
+    if len(transporter) != len(cl.members):
+        raise ConsistencyError("transporter misses class members")
+    return rep, transporter, h.centralizer(rep)
 
 
 def is_nielsen(spec, t):
@@ -117,7 +110,7 @@ def inner_canonical(spec, t):
     """Minimum over all conjugations; computed by moving entry 1 onto its
     class representative and minimizing over the (small) centralizer."""
     h = spec.group
-    rep, transporter, cen = _class_data(h, t.labels[0])
+    rep, transporter, cen = h.memo(_class_data, h, t.labels[0])
     c = transporter[t.entries[0]]
     base = tuple(h.conj(g, c) for g in t.entries)
     best = base
@@ -179,7 +172,7 @@ def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
     forms = set()
     for ordering in orderings:
         cls = [classes[lab] for lab in ordering]
-        pin, _, _ = _class_data(h, ordering[0])
+        pin, _, _ = h.memo(_class_data, h, ordering[0])
         mids = [sorted(c.members) for c in cls[1:-1]]
         last = cls[-1].members
         for combo in product(*mids):

@@ -9,48 +9,27 @@ raises ConsistencyError rather than warning.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 
 from .groups import (ConsistencyError, gl_orders, cen_in_Sn, closure,
                      partition, cycles)
-from .nielsen import inner_canonical
-from .braid import q_twist, q_untwist, sh
-
-
-def _can(spec, t):
-    return inner_canonical(spec, t)
-
-
-def _q2(spec, t):
-    return _can(spec, q_twist(spec, 2, t))
-
-
-def _sh2(spec, t):
-    return _can(spec, sh(spec, sh(spec, t)))
-
-
-def _q1q3inv(spec, t):
-    return _can(spec, q_untwist(spec, 3, q_twist(spec, 1, t)))
-
-
-def _qq_elements(spec):
-    """The four elements of Q'' as maps on inner classes."""
-    return [
-        ("id", lambda t: t),
-        ("sh2", lambda t: _sh2(spec, t)),
-        ("q1q3i", lambda t: _q1q3inv(spec, t)),
-        ("sh2*q1q3i", lambda t: _q1q3inv(spec, _sh2(spec, t))),
-    ]
+from .braid import q_twist
 
 
 class ReducedClass:
-    """Q''-orbit data over one braid orbit (the reduced component)."""
+    """Q''-orbit data over one braid orbit (the reduced component).  `sh2`
+    and `q1q3i` are the generators sh^2 and q1 q3^{-1} of Q'' as dicts on
+    the orbit's members; `gammas` and `cusps` are derived once, on first
+    use."""
 
-    def __init__(self, spec, orbit, qq_orbits):
+    def __init__(self, spec, orbit, qq_orbits, sh2, q1q3i):
         self.spec = spec
         self.orbit = orbit
         self.qq_orbits = qq_orbits              # rep -> frozenset
+        self.sh2 = sh2
+        self.q1q3i = q1q3i
         self.reps = sorted(qq_orbits)
         self._rep_of = {}
         for rep, members in qq_orbits.items():
@@ -64,38 +43,45 @@ class ReducedClass:
     def degree(self):
         return len(self.reps)
 
+    @cached_property
+    def gammas(self):
+        return gamma_actions(self)
+
+    @cached_property
+    def cusps(self):
+        return cusps(self)
+
 
 def reduce_orbit(orbit):
-    """Partition a braid orbit into Q''-orbits."""
+    """Partition a braid orbit into Q''-orbits, read from its move
+    table."""
     spec = orbit.spec
     if spec.r != 4:
         raise ValueError("reduced classes need r = 4")
     if spec.equivalence != "inner":
         raise ValueError("reduction acts on inner classes")
-    moves = [f for _, f in _qq_elements(spec)[1:]]
+    q1, _, q3, shift = orbit.moves
+    q3inv = {q3[t]: t for t in orbit.members}
+    sh2 = {t: shift[shift[t]] for t in orbit.members}
+    q1q3i = {t: q3inv[q1[t]] for t in orbit.members}
     qq = {}
-    for o in partition(orbit.members, moves,
+    for o in partition(orbit.members, [sh2.__getitem__, q1q3i.__getitem__],
                        "Q'' orbit escaped the braid orbit"):
         if len(o) not in (1, 2, 4):
             raise ConsistencyError("Q'' orbit of size %d" % len(o))
         qq[min(o)] = o
-    return ReducedClass(spec, orbit, qq)
+    return ReducedClass(spec, orbit, qq, sh2, q1q3i)
 
 
 def gamma_actions(rc):
     """gamma_0 = q1 q2, gamma_1 = q1 q2 q1, gamma_infty = q2 as
-    permutations of the reduced representatives; verifies the j-line
-    relations gamma_0^3 = gamma_1^2 = gamma_0 gamma_1 gamma_infty = 1."""
-    spec = rc.spec
-
-    def word(t, idxs):
-        for i in idxs:
-            t = q_twist(spec, i, t)
-        return rc.rep_of(_can(spec, t))
-
-    g0 = {t: word(t, (1, 2)) for t in rc.reps}
-    g1 = {t: word(t, (1, 2, 1)) for t in rc.reps}
-    gi = {t: word(t, (2,)) for t in rc.reps}
+    permutations of the reduced representatives, read from the move
+    table; verifies the j-line relations
+    gamma_0^3 = gamma_1^2 = gamma_0 gamma_1 gamma_infty = 1."""
+    q1, q2 = rc.orbit.moves[:2]
+    g0 = {t: rc.rep_of(q2[q1[t]]) for t in rc.reps}
+    g1 = {t: rc.rep_of(q1[q2[q1[t]]]) for t in rc.reps}
+    gi = {t: rc.rep_of(q2[t]) for t in rc.reps}
     for t in rc.reps:
         if g0[g0[g0[t]]] != t or g1[g1[t]] != t:
             raise ConsistencyError("gamma_0/gamma_1 orders wrong")
@@ -140,20 +126,19 @@ def _middle_product_uv(spec, t):
     return u, 2 * u
 
 
-def cusps(rc, gi=None):
+def cusps(rc):
     """gamma_infty orbits with widths.  Two hard cross-checks per cusp:
     the middle-product prediction (u,v) of the q2-orbit on raw tuples,
     and the Q''-stabilizer shortening f with width * f = q2-orbit length
     on inner classes."""
     spec = rc.spec
-    if gi is None:
-        gi = gamma_actions(rc)[2]
+    q2 = rc.orbit.moves[1]
     out = []
-    for a, cyc in enumerate(cycles(gi, rc.reps)):
+    for a, cyc in enumerate(cycles(rc.gammas[2], rc.reps)):
         width = len(cyc)
-        t = min(min(rc.qq_orbits[r]) for r in cyc)
+        t = min(cyc)
         # q2 orbit of the inner class t
-        orbset = closure(t, [lambda x: _q2(spec, x)])
+        orbset = closure(t, [q2.__getitem__])
         vlen = len(orbset)
         # q2 orbit of the raw tuple: the object Prop.-predicted by (u,v)
         raw_v = len(closure(t, [lambda x: q_twist(spec, 2, x)]))
@@ -164,8 +149,10 @@ def cusps(rc, gi=None):
                 "(u=%d, seed %s)" % (v_pred, raw_v, u, (t,)))
         if raw_v % vlen:
             raise ConsistencyError("inner q2 orbit does not divide raw")
-        stab_g = sum(1 for _, f in _qq_elements(spec) if f(t) == t)
-        stab_o = sum(1 for _, f in _qq_elements(spec) if f(t) in orbset)
+        # the four elements of Q'' applied to t
+        qq_images = (t, rc.sh2[t], rc.q1q3i[t], rc.q1q3i[rc.sh2[t]])
+        stab_g = qq_images.count(t)
+        stab_o = sum(1 for x in qq_images if x in orbset)
         if stab_o % stab_g:
             raise ConsistencyError("Q'' stabilizers not nested")
         f = stab_o // stab_g
@@ -181,13 +168,12 @@ def cusps(rc, gi=None):
     return out
 
 
-def reduced_genus(rc, gammas=None, cusp_list=None):
+def reduced_genus(rc):
     """Genus of the reduced component from the displayed formula,
     cross-checked against the Euler characteristic of the degree-d cover
     of the j-line with monodromy (gamma_0, gamma_1, gamma_infty)."""
-    g0, g1, gi = gammas if gammas is not None else gamma_actions(rc)
-    if cusp_list is None:
-        cusp_list = cusps(rc, gi)
+    g0, g1, _ = rc.gammas
+    cusp_list = rc.cusps
     d = rc.degree
     t0 = sum(1 for t in rc.reps if g0[t] == t)
     t1 = sum(1 for t in rc.reps if g1[t] == t)
@@ -208,14 +194,13 @@ def reduced_genus(rc, gammas=None, cusp_list=None):
     return int(g2)
 
 
-def sh_incidence(rc, cusp_list=None):
+def sh_incidence(rc):
     """Matrix |O_i  meet  sh(O_j)| over the cusps of one component;
     symmetric for r=4, rows summing to the widths."""
-    spec = rc.spec
-    if cusp_list is None:
-        cusp_list = cusps(rc)
+    cusp_list = rc.cusps
+    shift = rc.orbit.moves[-1]
     sets = [set(c.reps) for c in cusp_list]
-    sh_sets = [{rc.rep_of(_can(spec, sh(spec, t))) for t in s} for s in sets]
+    sh_sets = [{rc.rep_of(shift[t]) for t in s} for s in sets]
     n = len(cusp_list)
     M = np.zeros((n, n), dtype=int)
     for i in range(n):
@@ -229,10 +214,10 @@ def sh_incidence(rc, cusp_list=None):
     return M, [c.label for c in cusp_list]
 
 
-def moduli_checks(spec, rc, gammas=None):
+def moduli_checks(spec, rc):
     """Fine-moduli style report for one reduced component."""
     h = spec.group
-    g0, g1, _ = gammas if gammas is not None else gamma_actions(rc)
+    g0, g1, _ = rc.gammas
     free_qq = all(len(m) == 4 for m in rc.qq_orbits.values())
     t0 = sum(1 for t in rc.reps if g0[t] == t)
     t1 = sum(1 for t in rc.reps if g1[t] == t)
@@ -246,14 +231,13 @@ def moduli_checks(spec, rc, gammas=None):
     return report
 
 
-def wohlfahrt(rc, cusp_list=None):
+def wohlfahrt(rc):
     """Congruence test via Wohlfahrt's theorem: a modular curve whose
     cusp widths have lcm N comes from a subgroup containing Gamma(N), so
     its degree d divides |PSL_2(Z/N)| and, when the complement order
     |PSL_2(Z/N)|/d forces a Sylow subgroup, the translation T must act
     on the d cosets with cycle type equal to the width multiset."""
-    if cusp_list is None:
-        cusp_list = cusps(rc)
+    cusp_list = rc.cusps
     N = 1
     for c in cusp_list:
         N = N * c.width // math.gcd(N, c.width)

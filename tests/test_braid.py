@@ -8,7 +8,8 @@ from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
                              inner_canonical, enumerate_tuples,
                              absolute_class_map)
 from hurwitz.braid import (q_twist, q_untwist, sh, braid_moves, orbit,
-                           all_orbits, braidable, component_lattice)
+                           all_orbits, braid_orbits, braidable,
+                           component_lattice)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}
@@ -112,11 +113,36 @@ def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms):
              for m in braid_moves(a4_spec)]
     with pytest.raises(ConsistencyError, match="escaped the enumeration"):
         partition(forms, moves, "braid orbit escaped the enumeration")
+    with pytest.raises(ConsistencyError, match="escaped the enumeration"):
+        braid_orbits(a4_spec, forms)
     abs_spec = spec_of(A4, ("C+", "C+", "C-", "C-"), "absolute")
     cmap = absolute_class_map(abs_spec, a4_forms)
     moved = next(t for t, root in cmap.items() if t != root)
     with pytest.raises(ConsistencyError, match="left the enumeration"):
         absolute_class_map(abs_spec, [t for t in a4_forms if t != moved])
+
+
+@pytest.mark.parametrize("gspec", [A4, {**A4, "ell": 5}],
+                         ids=["a4", "di5"])
+@pytest.mark.parametrize("eq", ["inner", "absolute"])
+def test_move_table_matches_moves(gspec, eq):
+    # each table entry is the canonical image of its move, through the
+    # absolute class map for absolute specs, and the enumerated object
+    spec = spec_of(gspec, ("C+", "C+", "C-", "C-"), eq)
+    inner_forms = enumerate_tuples(spec.as_inner())
+    cmap = None if eq == "inner" else \
+        absolute_class_map(spec, inner_forms)
+    orbits = all_orbits(spec)
+    forms = {t: t for o in orbits for t in o.members}
+    assert sorted(forms) == enumerate_tuples(spec)
+    for o in orbits:
+        for k, move in enumerate(braid_moves(spec)):
+            for t in o.members:
+                image = inner_canonical(spec, move(t))
+                if cmap is not None:
+                    image = cmap[image]
+                assert o.moves[k][t] == image
+                assert o.moves[k][t] is forms[image]
 
 
 def test_orbit_rejects_noncanonical_seed(a4_spec, a4_forms):

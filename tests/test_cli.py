@@ -180,8 +180,17 @@ def _drop_largest_orbit(data):
     return json.dumps({**data, "orbits": orbits})
 
 
+def _split_largest_orbit(data):
+    # disjoint pieces that still cover the class, but are not braid orbits
+    orbits = sorted(data["orbits"], key=len)
+    big = orbits.pop()
+    half = len(big) // 2
+    return json.dumps({**data, "orbits": orbits + [big[:half], big[half:]]})
+
+
 @pytest.mark.parametrize("corrupt", [_truncate, _without_orbits,
-                                     _drop_largest_orbit])
+                                     _drop_largest_orbit,
+                                     _split_largest_orbit])
 def test_corrupt_cache_falls_back_to_cold_report(tmp_path, a4_file,
                                                  corrupt):
     code, cold = run_to_file(tmp_path, a4_file, "--cmd", "report")

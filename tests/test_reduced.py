@@ -6,7 +6,7 @@ from hurwitz.nielsen import NielsenSpec, enumerate_tuples
 from hurwitz.braid import all_orbits, orbit
 from hurwitz.reduced import (reduce_orbit, gamma_actions, cusps,
                              reduced_genus, sh_incidence, moduli_checks,
-                             wohlfahrt, _sh2, _q1q3inv)
+                             wohlfahrt)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}
@@ -31,14 +31,19 @@ def a4_reduced(a4_orbits):
     return {o.size: reduce_orbit(o) for o in a4_orbits}
 
 
-def test_qq_is_klein_four(a4_spec):
-    forms = enumerate_tuples(a4_spec)
-    for t in forms:
-        a = _sh2(a4_spec, t)
-        b = _q1q3inv(a4_spec, t)
-        assert _sh2(a4_spec, a) == t
-        assert _q1q3inv(a4_spec, b) == t
-        assert _sh2(a4_spec, b) == _q1q3inv(a4_spec, a)
+def test_qq_is_klein_four(a4_spec, a4_reduced):
+    # the Q'' maps of the move table, over all A4 forms: sh^2 and q1 q3^-1
+    # are commuting involutions
+    seen = set()
+    for rc in a4_reduced.values():
+        sh2, q1q3i = rc.sh2, rc.q1q3i
+        for t in rc.orbit.members:
+            a, b = sh2[t], q1q3i[t]
+            assert sh2[a] == t
+            assert q1q3i[b] == t
+            assert sh2[b] == q1q3i[a]
+        seen |= rc.orbit.members
+    assert seen == set(enumerate_tuples(a4_spec))
 
 
 def test_reduce_needs_r4():

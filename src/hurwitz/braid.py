@@ -3,7 +3,7 @@ shift sh, braid-orbit BFS over canonical forms, the braidable-
 automorphism test, and the inner/absolute component lattice."""
 
 from .groups import ConsistencyError, closure, partition
-from .nielsen import (NielsenTuple, NielsenSpec, inner_canonical, canonical,
+from .nielsen import (NielsenTuple, inner_canonical, canonical,
                       absolute_class_map, apply_aut, enumerate_tuples,
                       DEFAULT_BUDGET)
 
@@ -96,19 +96,22 @@ def braid_orbits(spec, forms, cmap=None):
                       "braid orbit escaped the enumeration")]
 
 
-def _absolute_orbits(spec, inner_forms):
-    """The absolute class map of a complete set of inner forms, and the
-    braid orbits on its image."""
-    cmap = absolute_class_map(spec, inner_forms)
+def _orbits(spec, budget):
+    """(cmap, the braid orbits of spec), read through spec.memo; cmap is
+    the absolute class map of the inner forms, None for an inner spec.
+    The twins share the enumeration of the inner forms."""
+    forms = spec.memo(enumerate_tuples, spec.as_inner(), budget)
+    if spec.equivalence == "inner":
+        return None, braid_orbits(spec, forms)
+    cmap = absolute_class_map(spec, forms)
     return cmap, braid_orbits(spec, set(cmap.values()), cmap)
 
 
 def all_orbits(spec, budget=DEFAULT_BUDGET):
-    """Partition of enumerate_tuples(spec) into braid orbits."""
-    if spec.equivalence == "inner":
-        return braid_orbits(spec, enumerate_tuples(spec, budget))
-    return _absolute_orbits(
-        spec, enumerate_tuples(spec.as_inner(), budget))[1]
+    """Partition of enumerate_tuples(spec) into braid orbits, in seed
+    order; computed once per (spec, budget), so the list is shared and
+    not to be changed."""
+    return spec.memo(_orbits, spec, budget)[1]
 
 
 def braidable(spec, braid_orbit, a):
@@ -129,18 +132,12 @@ class ComponentLattice:
         return self.v_data[abs_index]["v"]
 
 
-def component_lattice(spec, budget=DEFAULT_BUDGET, inner_orbits=None):
+def component_lattice(spec, budget=DEFAULT_BUDGET):
     """Inner orbits, absolute orbits, the covering between them, and the
-    verified component count v = (N_T : N^br) per absolute orbit.  Given
-    `inner_orbits` (the braid orbits of spec.as_inner()), the inner forms
-    are their members and the class is not enumerated again."""
+    verified component count v = (N_T : N^br) per absolute orbit."""
     inner_spec = spec.as_inner()
-    abs_spec = NielsenSpec(spec.group, spec.labels, "absolute", spec.T)
-    if inner_orbits is None:
-        inner_orbits = all_orbits(inner_spec, budget)
-    inner_orbits = sorted(inner_orbits, key=lambda o: o.seed)
-    inner_forms = sorted(set().union(*(o.members for o in inner_orbits)))
-    cmap, abs_orbits = _absolute_orbits(abs_spec, inner_forms)
+    inner_orbits = all_orbits(inner_spec, budget)
+    cmap, abs_orbits = spec.memo(_orbits, spec.as_absolute(), budget)
 
     abs_of_form = {}
     for i, o in enumerate(abs_orbits):

@@ -8,8 +8,8 @@ import os
 import sys
 
 from .groups import ConsistencyError, BudgetExceeded
-from .nielsen import (NielsenSpec, enumerate_tuples, cover_genus,
-                      hm_detect, di_detect, DEFAULT_BUDGET)
+from .nielsen import (NielsenSpec, cover_genus, hm_detect, di_detect,
+                      DEFAULT_BUDGET)
 from .braid import all_orbits, component_lattice
 from .reduced import (reduce_orbit, reduced_genus, sh_incidence,
                       moduli_checks, wohlfahrt)
@@ -87,17 +87,6 @@ def store_cached_orbits(cache_dir, spec, orbits):
             os.remove(tmp)
 
 
-def get_orbits(spec, budget, cache_dir):
-    if cache_dir:
-        cached = load_cached_orbits(cache_dir, spec, budget)
-        if cached is not None:
-            return cached, True
-    orbits = all_orbits(spec, budget)
-    if cache_dir:
-        store_cached_orbits(cache_dir, spec, orbits)
-    return orbits, False
-
-
 # ---------------------------------------------------------------------
 # per-orbit records and the report sections built from them
 
@@ -121,28 +110,26 @@ class Component:
                 self.lift_error = e
 
 
-def _components(spec, orbits, reduced=True, lift=True):
-    """One Component per orbit, in orbit order."""
+def _components(spec, budget, reduced=True, lift=True):
+    """One Component per braid orbit, in orbit order."""
     inner = spec.as_inner()
-    return [Component(inner, o, reduced, lift) for o in orbits]
+    return [Component(inner, o, reduced, lift)
+            for o in all_orbits(spec, budget)]
 
 
-def cmd_enumerate(spec, budget, orbits):
-    count = len(set().union(*[o.members for o in orbits])) if orbits \
-        else len(enumerate_tuples(spec, budget))
+def cmd_enumerate(spec, budget):
     classes = spec.group.classes()
-    return {"count": count,
+    return {"count": sum(o.size for o in all_orbits(spec, budget)),
             "class_sizes": {lab: len(classes[lab].members)
                             for lab in spec.labels}}
 
 
-def cmd_orbits(spec, budget, orbits):
+def cmd_orbits(spec, budget):
     out = {"orbits": [{"size": o.size,
                        "seed": [_to_jsonable(o.seed.labels),
                                 _to_jsonable(o.seed.entries)]}
-                      for o in orbits]}
-    inner_orbits = orbits if spec.equivalence == "inner" else None
-    lat = component_lattice(spec, budget, inner_orbits)
+                      for o in all_orbits(spec, budget)]}
+    lat = component_lattice(spec, budget)
     out["lattice"] = {
         "inner_sizes": [o.size for o in lat.inner_orbits],
         "absolute_sizes": [o.size for o in lat.abs_orbits],
@@ -174,7 +161,7 @@ def _shmatrix_section(comps):
     for c in comps:
         mat, labels = sh_incidence(c.rc)
         rows.append({"orbit_size": c.orbit.size, "labels": labels,
-                     "matrix": [[int(v) for v in row] for row in mat]})
+                     "matrix": mat})
     return {"components": rows}
 
 
@@ -192,38 +179,36 @@ def _lift_section(spec, comps):
         for c in comps]}
 
 
-def cmd_cusps(spec, budget, orbits):
-    return _cusps_section(_components(spec, orbits, lift=False))
+def cmd_cusps(spec, budget):
+    return _cusps_section(_components(spec, budget, lift=False))
 
 
-def cmd_genus(spec, budget, orbits):
-    return _genus_section(spec, _components(spec, orbits, lift=False))
+def cmd_genus(spec, budget):
+    return _genus_section(spec, _components(spec, budget, lift=False))
 
 
-def cmd_shmatrix(spec, budget, orbits):
-    return _shmatrix_section(_components(spec, orbits, lift=False))
+def cmd_shmatrix(spec, budget):
+    return _shmatrix_section(_components(spec, budget, lift=False))
 
 
-def cmd_lift(spec, budget, orbits):
-    return _lift_section(spec, _components(spec, orbits, reduced=False))
+def cmd_lift(spec, budget):
+    return _lift_section(spec, _components(spec, budget, reduced=False))
 
 
-def cmd_tower(spec, budget, orbits):
+def cmd_tower(spec, budget):
     inner = spec.as_inner()
-    iorbs = orbits if spec.equivalence == "inner" \
-        else all_orbits(inner, budget)
 
     def one(o):
         above = tower_lift(inner, o, budget)
         return {"size": o.size, "level_up_orbits": [x.size for x in above]}
-    return {"orbits": [one(o) for o in iorbs]}
+    return {"orbits": [one(o) for o in all_orbits(inner, budget)]}
 
 
-def cmd_report(spec, budget, orbits):
+def cmd_report(spec, budget):
     rep = {"spec": spec.to_json()}
-    rep["enumerate"] = cmd_enumerate(spec, budget, orbits)
-    rep["orbits"] = cmd_orbits(spec, budget, orbits)
-    comps = _components(spec, orbits, reduced=spec.r == 4)
+    rep["enumerate"] = cmd_enumerate(spec, budget)
+    rep["orbits"] = cmd_orbits(spec, budget)
+    comps = _components(spec, budget, reduced=spec.r == 4)
     if spec.r == 4:
         rep["cusps"] = _cusps_section(comps)
         rep["genus"] = _genus_section(spec, comps)
@@ -343,8 +328,10 @@ def run(argv=None):
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     try:
-        orbits, _hit = get_orbits(spec, args.budget, args.cache)
-        report = BUILDERS[args.cmd](spec, args.budget, orbits)
+        budget = args.budget
+        if args.cache and load_cached_orbits(args.cache, spec, budget) is None:
+            store_cached_orbits(args.cache, spec, all_orbits(spec, budget))
+        report = BUILDERS[args.cmd](spec, budget)
         emit(report, args.format, args.out, args.cmd)
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)

@@ -115,15 +115,28 @@ class Automorphism:
 MAX_ORDER = 10 ** 4
 
 
-class GroupHandle:
+class Memo:
+    """memo(fn, *args) is fn(*args), computed once per object."""
+
+    def __init__(self):
+        self._memo = {}
+
+    def memo(self, fn, *args):
+        key = (fn, args)
+        if key not in self._memo:
+            self._memo[key] = fn(*args)
+        return self._memo[key]
+
+
+class GroupHandle(Memo):
     family = None
 
     def __init__(self):
+        super().__init__()
         self._inv = {}
         self._order_cache = {}
         self._classes = None
         self._gens = None
-        self._memo = {}
 
     def _check_enumerable(self):
         # element-level operations (elements/classes) only; pointwise
@@ -143,14 +156,6 @@ class GroupHandle:
         raise NotImplementedError
 
     # -- generic machinery --------------------------------------------
-    def memo(self, fn, *args):
-        """fn(*args), computed once per handle: make_group interns handles,
-        so every spec over the group shares the value."""
-        key = (fn, args)
-        if key not in self._memo:
-            self._memo[key] = fn(*args)
-        return self._memo[key]
-
     def elements(self):
         if not hasattr(self, "_elements"):
             self._check_enumerable()

@@ -7,36 +7,25 @@ import math
 from .groups import (make_group, central_extension, central_lift,
                      ConsistencyError, closure, cycles)
 from .nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
-                      enumerate_tuples, DEFAULT_BUDGET)
-from .braid import braid_orbits
+                      DEFAULT_BUDGET)
+from .braid import all_orbits
 
 
-def _cover_for(spec, cover=None):
+def _cover_for(spec):
     h = spec.group
-    if cover is None:
-        if h.family == "affine2":
-            cover = "heis2" if h.aut_order == 2 else "k22z3"
-        elif h.family == "alternating":
-            cover = "an_spin"
-        else:
-            raise ValueError("no default cover for family %r" % h.family)
-    if cover == "an_spin":
-        return "an_spin"
-    if isinstance(cover, str):
-        if h.family != "affine2":
-            raise ValueError("extension %r needs an affine2 base" % cover)
-        if (cover == "heis2") != (h.aut_order == 2):
-            raise ValueError("cover %r incompatible with aut order %d"
-                             % (cover, h.aut_order))
+    if h.family == "affine2":
+        cover = "heis2" if h.aut_order == 2 else "k22z3"
         return h.memo(central_extension, cover, h.ell, h.k)
-    return cover
+    if h.family == "alternating":
+        return "an_spin"
+    raise ValueError("no default cover for family %r" % h.family)
 
 
-def lift_invariant(spec, t, cover=None):
+def lift_invariant(spec, t):
     """Product of the unique same-order lifts, read off the central
     coordinate (additively, as the w-exponent in Z/ell^{k+1}); for
     alternating groups the spin value in Z/2 by the closed formula."""
-    cov = _cover_for(spec, cover)
+    cov = _cover_for(spec)
     if cov == "an_spin":
         return an_spin(spec, t)
     p = cov.ext.identity
@@ -108,20 +97,20 @@ def di_triple(spec, m2, n2):
     return NielsenTuple(("C-",) * 3, tuple(out))
 
 
-def orbit_lift_invariant(spec, orbit, cover=None):
+def orbit_lift_invariant(spec, orbit):
     """The orbit's lift value; constancy over all members is a hard
     gate."""
-    vals = {lift_invariant(spec, t, cover) for t in orbit.members}
+    vals = {lift_invariant(spec, t) for t in orbit.members}
     if len(vals) != 1:
         raise ConsistencyError("lift invariant not constant on orbit: %s"
                                % sorted(vals))
     return vals.pop()
 
 
-def normalizer_action_on_lift(spec, lattice, cover=None):
+def normalizer_action_on_lift(spec, lattice):
     """Per absolute orbit, the set S of lift values of the inner orbits
     above it; Schur-separated when the sets are pairwise disjoint."""
-    inner_vals = [orbit_lift_invariant(spec.as_inner(), o, cover)
+    inner_vals = [orbit_lift_invariant(spec.as_inner(), o)
                   for o in lattice.inner_orbits]
     sets = {}
     for j, v in enumerate(inner_vals):
@@ -133,8 +122,8 @@ def normalizer_action_on_lift(spec, lattice, cover=None):
             "inner_values": inner_vals}
 
 
-def obstructed(spec, orbit, cover=None):
-    return orbit_lift_invariant(spec, orbit, cover) != 0
+def obstructed(spec, orbit):
+    return orbit_lift_invariant(spec, orbit) != 0
 
 
 def level_up(h):
@@ -158,6 +147,29 @@ def reduce_elem(child, parent, g):
     raise ValueError("no reduction for family %r" % child.family)
 
 
+def _next_level(spec, budget):
+    """The level-(k+1) spec, its braid orbits, and for each of them the
+    set of base forms its members reduce to.  Hard gate: each child orbit
+    reduces into exactly one base orbit."""
+    h = spec.group
+    child = level_up(h)
+    child_spec = NielsenSpec(child, spec.labels, "inner", spec.T)
+    base_orbits = all_orbits(spec, budget)
+    kids = all_orbits(child_spec, budget)
+    below = []
+    for o in kids:
+        base = set()
+        for t in o.members:
+            entries = tuple(reduce_elem(child, h, g) for g in t.entries)
+            labels = tuple(h.class_of(g).label for g in entries)
+            base.add(inner_canonical(spec, NielsenTuple(labels, entries)))
+        if not any(base <= b.members for b in base_orbits):
+            raise ConsistencyError("child orbit does not reduce into one "
+                                   "base orbit")
+        below.append(frozenset(base))
+    return child_spec, kids, below
+
+
 def tower_lift(spec, orbit, budget=DEFAULT_BUDGET):
     """Braid orbits at level k+1 whose entrywise reductions land in the
     given inner orbit.  Hard gate: each child orbit's lift invariant
@@ -166,17 +178,8 @@ def tower_lift(spec, orbit, budget=DEFAULT_BUDGET):
     invariant: the Schur-multiplier obstruction concerns representation
     covers that these abelian-kernel levels never factor through."""
     h = spec.group
-    child = level_up(h)
-    child_spec = NielsenSpec(child, spec.labels, "inner", spec.T)
-    child_forms = enumerate_tuples(child_spec, budget)
-    selected = []
-    for t in child_forms:
-        entries = tuple(reduce_elem(child, h, g) for g in t.entries)
-        labels = tuple(h.class_of(g).label for g in entries)
-        base = inner_canonical(spec, NielsenTuple(labels, entries))
-        if base in orbit.members:
-            selected.append(t)
-    out = braid_orbits(child_spec, selected)
+    child_spec, kids, below = spec.memo(_next_level, spec, budget)
+    out = [o for o, base in zip(kids, below) if base <= orbit.members]
     if h.family == "affine2":
         base_val = orbit_lift_invariant(spec, orbit)
         for o in out:
@@ -253,12 +256,12 @@ def bcl_data(spec):
     return BCLData(N, M_inn, M_abs, len(M_inn) == len(_units(N)))
 
 
-def component_moduli_degree(spec, orbit, cover=None):
+def component_moduli_degree(spec, orbit):
     """Orbit length of the lift value under the unit multipliers of the
     cyclic Schur multiplier (Z/ell^{k+1} for affine2 families, Z/2 for
     alternating spin)."""
     return lift_moduli_degree(spec.group,
-                              orbit_lift_invariant(spec, orbit, cover))
+                              orbit_lift_invariant(spec, orbit))
 
 
 def lift_moduli_degree(h, s):

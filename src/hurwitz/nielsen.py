@@ -11,8 +11,8 @@ assignment intact.
 from itertools import product, permutations
 from typing import NamedTuple
 
-from .groups import (make_group, ConsistencyError, BudgetExceeded, closure,
-                     partition, cycles)
+from .groups import (Memo, make_group, ConsistencyError, BudgetExceeded,
+                     closure, partition, cycles)
 
 
 class NielsenTuple(NamedTuple):
@@ -20,8 +20,13 @@ class NielsenTuple(NamedTuple):
     entries: tuple
 
 
-class NielsenSpec:
+class NielsenSpec(Memo):
+    """A Nielsen class: group, class labels, equivalence and coset action
+    T.  Its memo, shared with its twin, holds what is derived from it."""
+
     def __init__(self, group, labels, equivalence="inner", T=None):
+        super().__init__()
+        self._twin = None
         self.group = group
         self.labels = tuple(labels)
         if equivalence not in ("inner", "absolute"):
@@ -38,9 +43,19 @@ class NielsenSpec:
                                  % (lab, group.family, sorted(classes)))
 
     def as_inner(self):
-        if self.equivalence == "inner":
-            return self
-        return NielsenSpec(self.group, self.labels, "inner", self.T)
+        return self if self.equivalence == "inner" else self._get_twin()
+
+    def as_absolute(self):
+        return self if self.equivalence == "absolute" else self._get_twin()
+
+    def _get_twin(self):
+        """The other equivalence's spec: made once, linked both ways."""
+        if self._twin is None:
+            other = "absolute" if self.equivalence == "inner" else "inner"
+            self._twin = NielsenSpec(self.group, self.labels, other, self.T)
+            self._twin._twin = self
+            self._twin._memo = self._memo
+        return self._twin
 
     def aut_gens(self):
         return self.group.memo(self.group.aut_gens, self.labels)

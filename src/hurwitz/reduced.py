@@ -11,8 +11,6 @@ raises ConsistencyError rather than warning.
 import math
 from functools import cached_property
 
-import numpy as np
-
 from .groups import (ConsistencyError, gl_orders, cen_in_Sn, closure,
                      partition, cycles)
 from .braid import q_twist
@@ -201,15 +199,10 @@ def sh_incidence(rc):
     shift = rc.orbit.moves[-1]
     sets = [set(c.reps) for c in cusp_list]
     sh_sets = [{rc.rep_of(shift[t]) for t in s} for s in sets]
-    n = len(cusp_list)
-    M = np.zeros((n, n), dtype=int)
-    for i in range(n):
-        for j in range(n):
-            M[i, j] = len(sets[i] & sh_sets[j])
-    if not (M == M.T).all():
+    M = [[len(s & t) for t in sh_sets] for s in sets]
+    if M != [list(col) for col in zip(*M)]:
         raise ConsistencyError("sh-incidence matrix not symmetric")
-    widths = np.array([c.width for c in cusp_list])
-    if not (M.sum(axis=1) == widths).all():
+    if [sum(row) for row in M] != [c.width for c in cusp_list]:
         raise ConsistencyError("sh-incidence row sums != widths")
     return M, [c.label for c in cusp_list]
 

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -229,7 +231,7 @@ def test_cold_report_work_counts(tmp_path, a4_file, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, name in [(cli, "enumerate_tuples"), (braid, "enumerate_tuples"),
+    for mod, name in [(braid, "enumerate_tuples"),
                       (cli, "reduce_orbit"), (cli, "orbit_lift_invariant"),
                       (lift, "orbit_lift_invariant")]:
         monkeypatch.setattr(mod, name, counted(mod, name))
@@ -240,6 +242,78 @@ def test_cold_report_work_counts(tmp_path, a4_file, monkeypatch):
     assert norbits == 2
     assert calls == {"enumerate_tuples": 1, "reduce_orbit": norbits,
                      "orbit_lift_invariant": norbits}
+
+
+def _cold_report(tmp_path, a4_file):
+    return lambda: run_to_file(tmp_path, a4_file, "--cmd", "report",
+                               "--cache", str(tmp_path / "cache"))[0]
+
+
+def _absolute_orbits_cmd(tmp_path, a4_file):
+    p = tmp_path / "abs.json"
+    p.write_text(json.dumps({**A4_SPEC, "equivalence": "absolute"}))
+    return lambda: cli.run(["--spec", str(p), "--cmd", "orbits",
+                            "--out", str(tmp_path / "out")])
+
+
+def _tower_over_all_orbits(tmp_path, a4_file):
+    from hurwitz.lift import tower_lift
+
+    def act():
+        spec = NielsenSpec.from_json(A4_SPEC)
+        for o in all_orbits(spec):
+            tower_lift(spec, o)
+        return cli.EXIT_OK
+    return act
+
+
+def _enumerate_one_orbit_cache(tmp_path, a4_file):
+    cache = str(tmp_path / "cache")
+    spec = NielsenSpec.from_json(A4_SPEC)
+    cli.store_cached_orbits(cache, spec, all_orbits(spec)[:1])
+    return lambda: run_to_file(tmp_path, a4_file, "--cmd", "enumerate",
+                               "--cache", cache)[0]
+
+
+@pytest.mark.parametrize("case, enumerations, braid_orbit_calls", [
+    (_cold_report, 1, 2), (_absolute_orbits_cmd, 1, 2),
+    (_tower_over_all_orbits, 2, 2), (_enumerate_one_orbit_cache, 1, 1)],
+    ids=["cold-report", "absolute-orbits", "tower", "one-orbit-cache"])
+def test_orbit_work_counts(tmp_path, a4_file, monkeypatch, case,
+                           enumerations, braid_orbit_calls):
+    # each Nielsen class is enumerated, and each of its inner and
+    # absolute braid orbits computed, once per spec
+    from hurwitz import braid
+
+    act = case(tmp_path, a4_file)
+    calls = {"enumerate_tuples": 0, "braid_orbits": 0}
+    for name in calls:
+        fn = getattr(braid, name)
+
+        def counted(*args, name=name, fn=fn, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(braid, name, counted)
+    assert act() == cli.EXIT_OK
+    assert calls == {"enumerate_tuples": enumerations,
+                     "braid_orbits": braid_orbit_calls}
+
+
+def test_report_without_numpy(tmp_path, a4_file):
+    # the program imports no third-party module: a report run where
+    # numpy cannot be imported gives the same bytes
+    code, out = run_to_file(tmp_path, a4_file, "--cmd", "report")
+    assert code == cli.EXIT_OK
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    script = ("import sys; sys.modules['numpy'] = None; "
+              "from hurwitz import cli; sys.exit(cli.run(sys.argv[1:]))")
+    bare = tmp_path / "bare"
+    proc = subprocess.run([sys.executable, "-c", script, "--spec", a4_file,
+                           "--cmd", "report", "--out", str(bare)],
+                          env=env, capture_output=True)
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert read_report(bare) == read_report(out)
 
 
 @pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -6,7 +8,8 @@ from hurwitz.groups import make_group, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                              hm_detect, di_detect, pure_cycle_reduce,
                              enumerate_tuples)
-from hurwitz.braid import all_orbits, component_lattice, q_untwist
+from hurwitz.braid import (all_orbits, braid_orbits, component_lattice,
+                          q_untwist)
 from hurwitz.lift import (lift_invariant, an_spin, serre_formula, di_formula,
                           serre_tuple, di_triple, orbit_lift_invariant,
                           normalizer_action_on_lift, obstructed, tower_lift,
@@ -255,9 +258,7 @@ def test_pure_cycle_reduce_preserves_spin():
 # ---------------------------------------------------------------------
 # covers and errors
 
-def test_cover_selection_errors(a4_spec):
-    with pytest.raises(ValueError):
-        _cover_for(a4_spec, "heis2")          # order-3 base needs k22z3
+def test_cover_selection_errors():
     with pytest.raises(ValueError):
         _cover_for(spec_of({"family": "dihedral", "m": 5}, ("2",) * 4))
 
@@ -291,6 +292,40 @@ def test_a4_tower_both_orbits_lift(a4_spec, a4_orbits):
     # mod-4 values reduce to the level-0 value mod 2
     assert child_vals[0] == [0, 2]
     assert child_vals[1] == [1, 3]
+
+
+@pytest.mark.parametrize("spec", [di_spec(2), serre_spec(3)],
+                         ids=["a4", "serre3"])
+def test_tower_lift_matches_per_orbit_selection(spec):
+    # oracle: the child orbits above o are the braid orbits of the
+    # level-(k+1) forms that reduce into o, computed from scratch
+    h = spec.group
+    child = NielsenSpec(level_up(h), spec.labels, "inner", spec.T)
+    child_forms = enumerate_tuples(child)
+
+    def reduce(t):
+        entries = tuple(reduce_elem(child.group, h, g) for g in t.entries)
+        labels = tuple(h.class_of(g).label for g in entries)
+        return inner_canonical(spec, NielsenTuple(labels, entries))
+
+    for o in all_orbits(spec):
+        expected = braid_orbits(child, [t for t in child_forms
+                                        if reduce(t) in o.members])
+        got = tower_lift(spec, o)
+        assert [c.members for c in got] == [c.members for c in expected]
+
+
+def test_spec_memo_is_freed_with_the_spec():
+    # the memo lives on the spec, its twin and its child spec, not on the
+    # interned group, so all of it goes with the spec
+    spec = di_spec(2)
+    lattice = component_lattice(spec)
+    children = tower_lift(spec, all_orbits(spec)[0])
+    refs = [weakref.ref(x) for x in (spec, spec.as_absolute(),
+                                     children[0].spec)]
+    del spec, lattice, children
+    gc.collect()
+    assert [r() for r in refs] == [None] * 3
 
 
 def test_reduce_elem_is_reduction_hom(a4_spec):

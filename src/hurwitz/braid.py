@@ -3,8 +3,8 @@ shift sh, braid-orbit BFS over canonical forms, the braidable-
 automorphism test, and the inner/absolute component lattice."""
 
 from .groups import ConsistencyError, closure, partition
-from .nielsen import (NielsenTuple, inner_canonical, canonical,
-                      absolute_class_map, apply_aut, enumerate_tuples,
+from .nielsen import (NielsenTuple, canonical, absolute_class_map,
+                      apply_aut, enumerate_tuples, canonizer,
                       DEFAULT_BUDGET)
 
 
@@ -78,19 +78,36 @@ def orbit(spec, seed):
     return BraidOrbit(spec, closure(seed, moves), table)
 
 
+def _index_moves(T, r):
+    """q_1..q_{r-1} and sh on index tuples: q_i is (a, b) -> (a b a^-1, a)
+    at positions i, i+1."""
+    conj = T.conj
+
+    def twist(j):
+        return lambda e: e[:j] + (conj[e[j]][e[j + 1]], e[j]) + e[j + 2:]
+    return [twist(j) for j in range(r - 1)] + [lambda e: e[1:] + e[:1]]
+
+
 def braid_orbits(spec, forms, cmap=None):
     """The braid orbits on `forms`, a set of inner forms closed under the
-    braid moves, in seed order.  Each move is applied once per form, and
-    its canonical image is mapped back to the form object in `forms`; the
-    orbits share this move table.  Given an absolute class map `cmap`, the
-    forms are its absolute forms and each move lands on the cmap image of
-    its inner form."""
-    form_of = {t: t for t in forms}
-    if cmap is not None:
-        form_of = {t: form_of.get(a) for t, a in cmap.items()}
+    braid moves, in seed order.  Each move is applied once per form, on
+    element indices, and its canonical image is mapped back to the form
+    object in `forms`; the orbits share this move table.  Given an
+    absolute class map `cmap`, the forms are its absolute forms and each
+    move lands on the cmap image of its inner form."""
+    h = spec.group
+    T = h.tables()
+    canon = h.memo(canonizer, h)
+    index_of = {t: T.indices(t.entries) for t in forms}
+    if cmap is None:
+        target = {e: t for t, e in index_of.items()}
+    else:
+        form_of = {t: t for t in forms}
+        target = {T.indices(t.entries): form_of.get(a)
+                  for t, a in cmap.items()}
     # an image outside `forms` is None, which partition reports as escaped
-    table = [{t: form_of.get(inner_canonical(spec, m(t))) for t in forms}
-             for m in braid_moves(spec)]
+    table = [{t: target.get(canon(m(e))) for t, e in index_of.items()}
+             for m in _index_moves(T, spec.r)]
     return [BraidOrbit(spec, o, table) for o in
             partition(forms, [d.get for d in table],
                       "braid orbit escaped the enumeration")]

@@ -46,10 +46,13 @@ def _cache_path(cache_dir, spec):
     return os.path.join(cache_dir, "orbits-%s.json" % spec_hash(spec)[:24])
 
 
+def _orbit_rows(o):
+    return [[t.labels, t.entries] for t in sorted(o.members)]
+
+
 def _cache_data(spec, orbits):
     return {"spec_hash": spec_hash(spec),
-            "orbits": [[[_to_jsonable(t.labels), _to_jsonable(t.entries)]
-                        for t in sorted(o.members)] for o in orbits]}
+            "orbits": [_to_jsonable(_orbit_rows(o)) for o in orbits]}
 
 
 def load_cached_orbits(cache_dir, spec, budget=DEFAULT_BUDGET):
@@ -78,9 +81,17 @@ def store_cached_orbits(cache_dir, spec, orbits):
     path = _cache_path(cache_dir, spec)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
+        # the text of json.dumps(_cache_data(spec, orbits), sort_keys=True,
+        # separators=(",", ":")), one orbit per dumps call: json.dump runs
+        # the pure-Python encoder, and one dumps of the whole file holds
+        # its data and its text in memory at once
         with open(tmp, "w") as fh:
-            json.dump(_cache_data(spec, orbits), fh, sort_keys=True,
-                      separators=(",", ":"))
+            fh.write('{"orbits":[')
+            for i, o in enumerate(orbits):
+                if i:
+                    fh.write(",")
+                fh.write(json.dumps(_orbit_rows(o), separators=(",", ":")))
+            fh.write('],"spec_hash":"%s"}' % spec_hash(spec))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):

@@ -7,6 +7,13 @@ serialize for free; each GroupHandle supplies the operations.  The total
 order on elements is the lexicographic order on these tuples -- canonical
 forms downstream depend on it being stable.
 
+The hot loops (enumeration, canonical forms, braid and automorphism
+moves) run on element indices instead: `h.tables()` numbers the elements
+by their position in the sorted `h.elements()`, so index order is tuple
+order, and holds the product and conjugation rows, inverses and class
+labels as plain lists.  Rows are built on first use, each composed from
+a generator's row, so memory tracks the rows a computation touches.
+
 Every orbit computation runs on three primitives defined here: `closure`
 (BFS set), `partition` (orbits in order of their least member) and
 `cycles` (the cycles of a permutation).
@@ -275,6 +282,10 @@ class GroupHandle(Memo):
     def centralizer(self, g):
         return [h for h in self.elements() if self.mul(g, h) == self.mul(h, g)]
 
+    def tables(self):
+        """The group's ElementTables, built on first use."""
+        return self.memo(ElementTables, self)
+
     # -- automorphism data (families override) ------------------------
     def aut_gens(self, labels):
         """Generators of the normalizer/automorphism action used for
@@ -300,6 +311,84 @@ class GroupHandle(Memo):
                          for x in self.elements()})
         act ={c: min(self.mul(self.mul(g, c), h) for h in H) for c in cosets}
         return len(cycles(act, cosets)), len(cosets)
+
+
+# ---------------------------------------------------------------------
+# integer-indexed element tables
+
+class _Rows(dict):
+    """rows[c], a list over the element indices, built on first use: with
+    c = x g_k in the Cayley tree, rows[c] = rows[x] o gen_rows[k].  That
+    holds for left multiplication ((x g) b = x (g b)) and for conjugation
+    (x g b g^-1 x^-1), so only the generators' rows cost group
+    arithmetic."""
+
+    def __init__(self, root, parent, gen_rows):
+        super().__init__()
+        self._parent = parent
+        self._gen_rows = gen_rows
+        self[root] = list(range(len(parent)))
+
+    def __missing__(self, c):
+        path = []
+        while c not in self:
+            path.append(c)
+            c = self._parent[c][0]
+        row = self[c]
+        for y in reversed(path):
+            row = list(map(row.__getitem__,
+                           self._gen_rows[self._parent[y][1]]))
+            self[y] = row
+        return row
+
+
+class ElementTables:
+    """The group arithmetic on element indices, index i standing for
+    `els[i]` of the sorted `h.elements()`: `mul[a][b]` is the index of
+    a b, `conj[c][g]` that of c g c^-1 (rows built on first use),
+    `inv[a]` that of a^-1 and `label[a]` the label of its class."""
+
+    def __init__(self, h):
+        self.els = els = h.elements()
+        self.index = index = {g: i for i, g in enumerate(els)}
+        gens = h.gens()
+        n = len(els)
+        e = index[h.identity]
+        # right[k][x] = x g_k spans the Cayley tree: parent[y] = (x, k)
+        # with y = x g_k, visited in BFS order
+        right = [[index[h.mul(x, g)] for x in els] for g in gens]
+        parent = [None] * n
+        parent[e] = (e, None)
+        tree = [e]
+        for x in tree:
+            for k, col in enumerate(right):
+                y = col[x]
+                if parent[y] is None:
+                    parent[y] = (x, k)
+                    tree.append(y)
+        if len(tree) != n:
+            raise ConsistencyError("generators miss %d elements"
+                                   % (n - len(tree)))
+        # (x g)^-1 = g^-1 x^-1
+        left_ginv = [[index[h.mul(h.inv(g), b)] for b in els] for g in gens]
+        self.inv = inv = [None] * n
+        inv[e] = e
+        for y in tree[1:]:
+            x, k = parent[y]
+            inv[y] = left_ginv[k][inv[x]]
+        self.mul = _Rows(e, parent,
+                         [[index[h.mul(g, b)] for b in els] for g in gens])
+        self.conj = _Rows(e, parent,
+                          [[index[h.conj(b, g)] for b in els] for g in gens])
+        self.right = right
+        self.gens = [index[g] for g in gens]
+        self.label = [None] * n
+        for cl in h.classes().values():
+            for g in cl.members:
+                self.label[index[g]] = cl.label
+
+    def indices(self, entries):
+        return tuple(map(self.index.__getitem__, entries))
 
 
 # ---------------------------------------------------------------------

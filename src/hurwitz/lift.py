@@ -6,8 +6,8 @@ import math
 
 from .groups import (make_group, central_extension, central_lift,
                      ConsistencyError, closure, cycles)
-from .nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
-                      DEFAULT_BUDGET)
+from .nielsen import (NielsenSpec, NielsenTuple, canonizer,
+                      from_indices, DEFAULT_BUDGET)
 from .braid import all_orbits
 
 
@@ -30,7 +30,7 @@ def lift_invariant(spec, t):
         return an_spin(spec, t)
     p = cov.ext.identity
     for g in t.entries:
-        p = cov.ext.mul(p, central_lift(cov, g))
+        p = cov.ext.mul(p, cov.base.memo(central_lift, cov, g))
     return cov.central_part(p) * cov.unit % cov.L
 
 
@@ -147,6 +147,13 @@ def reduce_elem(child, parent, g):
     raise ValueError("no reduction for family %r" % child.family)
 
 
+def _reduction(child, parent):
+    """reduce_elem as an array: child element index -> parent index."""
+    T = parent.tables()
+    return [T.index[reduce_elem(child, parent, g)]
+            for g in child.tables().els]
+
+
 def _next_level(spec, budget):
     """The level-(k+1) spec, its braid orbits, and for each of them the
     set of base forms its members reduce to.  Hard gate: each child orbit
@@ -156,17 +163,18 @@ def _next_level(spec, budget):
     child_spec = NielsenSpec(child, spec.labels, "inner", spec.T)
     base_orbits = all_orbits(spec, budget)
     kids = all_orbits(child_spec, budget)
+    T, cT = h.tables(), child.tables()
+    red = child.memo(_reduction, child, h)
+    canon = h.memo(canonizer, h)
     below = []
     for o in kids:
-        base = set()
-        for t in o.members:
-            entries = tuple(reduce_elem(child, h, g) for g in t.entries)
-            labels = tuple(h.class_of(g).label for g in entries)
-            base.add(inner_canonical(spec, NielsenTuple(labels, entries)))
+        base = {canon(tuple(red[i] for i in cT.indices(t.entries)))
+                for t in o.members}
+        base = frozenset(from_indices(T, e) for e in base)
         if not any(base <= b.members for b in base_orbits):
             raise ConsistencyError("child orbit does not reduce into one "
                                    "base orbit")
-        below.append(frozenset(base))
+        below.append(base)
     return child_spec, kids, below
 
 

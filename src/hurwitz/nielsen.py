@@ -79,30 +79,73 @@ class NielsenSpec(Memo):
 
 
 # ---------------------------------------------------------------------
-# per-(group, label) canonicalization data
+# canonical forms on element indices (see groups.ElementTables)
 
 def _class_data(h, label):
-    """(rep, transporter, centralizer of rep) for the class `label`; read
+    """(rep, transporter, centralizer of rep) of the class `label` as
+    element indices; transporter[x] = t with t x t^-1 = rep.  Read
     through h.memo, so it is built once per group."""
+    T = h.tables()
     cl = h.classes()[label]
-    rep = cl.rep
-    # transporter[x] = t with t x t^{-1} = rep, by BFS from rep
-    transporter = {rep: h.identity}
+    rep = T.index[cl.rep]
+    # BFS from rep: with x = g y g^-1, y's transporter is x's times g
+    transporter = {rep: T.index[h.identity]}
     frontier = [rep]
-    gens = h.gens()
+    moves = [(T.conj[T.inv[g]], col) for g, col in zip(T.gens, T.right)]
     while frontier:
         new = []
         for x in frontier:
             tx = transporter[x]
-            for g in gens:
-                y = h.conj(x, h.inv(g))      # x = g y g^{-1}
+            for ginv_conj, right in moves:
+                y = ginv_conj[x]
                 if y not in transporter:
-                    transporter[y] = h.mul(tx, g)
+                    transporter[y] = right[tx]
                     new.append(y)
         frontier = new
     if len(transporter) != len(cl.members):
         raise ConsistencyError("transporter misses class members")
-    return rep, transporter, h.centralizer(rep)
+    return rep, transporter, [T.index[z] for z in h.centralizer(cl.rep)]
+
+
+def canonizer(h):
+    """The inner canonical form on index tuples: the minimum over all
+    conjugations, found by moving entry 1 onto its class representative
+    and minimizing over that representative's centralizer.  Index order
+    is element order, so this is the minimum of the element tuples too.
+    Read through h.memo: the one canonicalization of the group."""
+    T = h.tables()
+    conj, label = T.conj, T.label
+    data = {}       # label -> (rep, transporter, centralizer rows)
+
+    def canon(e):
+        lab = label[e[0]]
+        d = data.get(lab)
+        if d is None:
+            rep, transporter, cen = h.memo(_class_data, h, lab)
+            d = data[lab] = (rep, transporter, [conj[z] for z in cen])
+        rep, transporter, cen_rows = d
+        to_rep = conj[transporter[e[0]]]
+        best = base = tuple(map(to_rep.__getitem__, e))
+        for row in cen_rows:
+            cand = tuple(map(row.__getitem__, base))
+            if cand < best:
+                best = cand
+        if best[0] != rep:
+            raise ConsistencyError("canonical form lost its pinned entry")
+        return best
+    return canon
+
+
+def from_indices(T, e):
+    """The NielsenTuple of the index tuple e, on the shared elements."""
+    return NielsenTuple(tuple(map(T.label.__getitem__, e)),
+                        tuple(map(T.els.__getitem__, e)))
+
+
+def _aut_perm(h, a):
+    """The automorphism a as a permutation of the element indices."""
+    T = h.tables()
+    return [T.index[a(g)] for g in T.els]
 
 
 def is_nielsen(spec, t):
@@ -122,29 +165,20 @@ def is_nielsen(spec, t):
 
 
 def inner_canonical(spec, t):
-    """Minimum over all conjugations; computed by moving entry 1 onto its
-    class representative and minimizing over the (small) centralizer."""
+    """Minimum over all conjugations of t (labels kept)."""
     h = spec.group
-    rep, transporter, cen = h.memo(_class_data, h, t.labels[0])
-    c = transporter[t.entries[0]]
-    base = tuple(h.conj(g, c) for g in t.entries)
-    best = base
-    for z in cen:
-        cand = tuple(h.conj(g, z) for g in base)
-        if cand < best:
-            best = cand
-    if best[0] != rep:
-        raise ConsistencyError("canonical form lost its pinned entry")
-    return NielsenTuple(t.labels, best)
+    T = h.tables()
+    best = h.memo(canonizer, h)(T.indices(t.entries))
+    return NielsenTuple(t.labels, tuple(map(T.els.__getitem__, best)))
 
 
 def apply_aut(spec, a, t):
     """Automorphism on a tuple: map entries, recompute labels, and return
     the inner canonical form."""
     h = spec.group
-    entries = tuple(a(g) for g in t.entries)
-    labels = tuple(h.class_of(g).label for g in entries)
-    return inner_canonical(spec, NielsenTuple(labels, entries))
+    T = h.tables()
+    e = T.indices(a(g) for g in t.entries)
+    return from_indices(T, h.memo(canonizer, h)(e))
 
 
 def _aut_moves(spec):
@@ -172,8 +206,10 @@ DEFAULT_BUDGET = 10 ** 8
 def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
     """All canonical representatives of the Nielsen class.  Inner forms
     are produced by pinning the first entry to its class representative
-    (every tuple is conjugate to a pinned one); absolute forms glue the
-    inner ones along the automorphism generators."""
+    (every tuple is conjugate to a pinned one) and canonicalizing; each
+    new canonical form gets the generation test, which conjugation does
+    not change.  Absolute forms glue the inner ones along the
+    automorphism generators."""
     h = spec.group
     classes = h.classes()
     orderings = sorted(set(permutations(spec.labels)))
@@ -184,33 +220,52 @@ def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
         raise BudgetExceeded("raw tuple count %d exceeds budget %d"
                              % (raw, budget))
 
-    forms = set()
+    T = h.tables()
+    mul, inv = T.mul, T.inv
+    canon = h.memo(canonizer, h)
+    forms, rejected = {}, set()     # forms: canonical form -> its labels
     for ordering in orderings:
-        cls = [classes[lab] for lab in ordering]
-        pin, _, _ = h.memo(_class_data, h, ordering[0])
-        mids = [sorted(c.members) for c in cls[1:-1]]
-        last = cls[-1].members
+        pin = T.index[classes[ordering[0]].rep]
+        mids = [sorted(T.indices(classes[lab].members))
+                for lab in ordering[1:-1]]
+        last = set(T.indices(classes[ordering[-1]].members))
         for combo in product(*mids):
             p = pin
             for g in combo:
-                p = h.mul(p, g)
-            tail = h.inv(p)
+                p = mul[p][g]
+            tail = inv[p]
             if tail not in last:
                 continue
-            entries = (pin,) + combo + (tail,)
-            if not h.generates(list(entries)):
+            form = canon((pin,) + combo + (tail,))
+            if form in forms or form in rejected:
                 continue
-            forms.add(inner_canonical(spec, NielsenTuple(ordering, entries)))
+            if h.generates([T.els[i] for i in form]):
+                forms[form] = ordering
+            else:
+                rejected.add(form)
+    inner = sorted(NielsenTuple(labels, tuple(map(T.els.__getitem__, e)))
+                   for e, labels in forms.items())
     if spec.equivalence == "inner":
-        return sorted(forms)
-    return sorted(set(absolute_class_map(spec, sorted(forms)).values()))
+        return inner
+    return sorted(set(absolute_class_map(spec, inner).values()))
 
 
 def absolute_class_map(spec, inner_forms):
     """inner canonical form -> absolute canonical form (min of its
     automorphism-closure component), over a complete set of inner forms."""
+    h = spec.group
+    T = h.tables()
+    canon = h.memo(canonizer, h)
+    index_of = {t: T.indices(t.entries) for t in inner_forms}
+    form_of = {e: t for t, e in index_of.items()}
+    # an image outside inner_forms is None, which partition reports
+    table = []
+    for a in spec.aut_gens():
+        perm = h.memo(_aut_perm, h, a)
+        table.append({t: form_of.get(canon(tuple(map(perm.__getitem__, e))))
+                      for t, e in index_of.items()})
     cmap = {}
-    for o in partition(inner_forms, _aut_moves(spec),
+    for o in partition(inner_forms, [d.get for d in table],
                        "automorphism orbit left the enumeration"):
         rep = min(o)
         cmap.update(dict.fromkeys(o, rep))

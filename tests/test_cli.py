@@ -169,6 +169,22 @@ DI5_SPEC = {"group": {"family": "affine2", "ell": 5, "k": 0, "order": 3},
             "equivalence": "inner"}
 
 
+@pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],
+                         ids=["a4", "di5"])
+@pytest.mark.parametrize("first", [None, 0], ids=["all", "none"])
+def test_cache_file_is_one_canonical_dump(tmp_path, spec_json, first):
+    # the orbit-by-orbit writer gives the bytes of one sorted, compact
+    # json.dumps of the cache data
+    spec = NielsenSpec.from_json(spec_json)
+    orbits = all_orbits(spec)[:first]
+    cli.store_cached_orbits(str(tmp_path), spec, orbits)
+    with open(cli._cache_path(str(tmp_path), spec), "rb") as fh:
+        written = fh.read()
+    assert written == json.dumps(cli._cache_data(spec, orbits),
+                                 sort_keys=True,
+                                 separators=(",", ":")).encode()
+
+
 def _truncate(data):
     return json.dumps(data)[:200]
 

@@ -1,0 +1,60 @@
+"""Byte-level golden outputs of the CLI.  Each case runs one command on one
+spec and compares the sha256 of the bytes it writes against a pinned value,
+so any change to a report, however small, fails here.  When an output is
+meant to change, record the new hash and say why in the change log."""
+
+import hashlib
+import json
+import os
+
+import pytest
+
+from hurwitz import cli
+
+
+def _di(ell):
+    return {"group": {"family": "affine2", "ell": ell, "k": 0, "order": 3},
+            "classes": ["C+", "C+", "C-", "C-"], "equivalence": "inner"}
+
+
+def _serre(ell):
+    return {"group": {"family": "affine2", "ell": ell, "k": 0, "order": 2},
+            "classes": ["2"] * 4, "equivalence": "inner"}
+
+
+A4 = _di(2)
+CASES = {
+    "report-a4": (A4, "report", "acf4a292e704609d5bb4f0f33625bf2a"
+                                "bb99dda61fed587e90b8ef287069e18e"),
+    "report-di5": (_di(5), "report", "497ce75ed19ea580fccd897ff794707f"
+                                     "6030cd95bda6e2cc1995766ecf7257c1"),
+    "report-serre3": (_serre(3), "report",
+                      "43dc9120c9cbd33f3a9a19acc8cc9888"
+                      "ec18f7935435140358c2d5fb5ed0b5aa"),
+    "report-dih9": ({"group": {"family": "dihedral", "m": 9},
+                     "classes": ["2"] * 4, "equivalence": "inner"},
+                    "report", "7fa84eaa664c084105c085c7e4f45de4"
+                              "725734cef8404394968cbaf9161d76c8"),
+    "report-a5-c34": ({"group": {"family": "alternating", "n": 5},
+                       "classes": ["3"] * 4, "equivalence": "inner",
+                       "T": "natural"},
+                      "report", "806148547a107a64a2b8edcc0528a406"
+                                "3c3fe4adda28ac08c4ac6b3c978030c7"),
+    "orbits-a4-absolute": (dict(A4, equivalence="absolute"), "orbits",
+                           "e44e4a75d706f745ae1a51b85d16655c"
+                           "733ff0a963f2e3b8e0d6c69faba85e87"),
+    "tower-a4": (A4, "tower", "a733bbd98a20f8c3644624ff5728fa06"
+                              "ad7cf0312154ec7be11d697eaeeb9ed2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_cli_output_bytes(tmp_path, case):
+    spec, cmd, want = CASES[case]
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    assert cli.run(["--spec", str(spec_file), "--cmd", cmd,
+                    "--out", str(out)]) == cli.EXIT_OK
+    with open(os.path.join(str(out), "%s.json" % cmd), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == want

@@ -86,6 +86,45 @@ def test_conj_class_matches_brute():
 
 
 # ---------------------------------------------------------------------
+# integer-indexed element tables vs the tuple arithmetic
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_element_tables_match_tuple_ops(spec):
+    G = make_group(spec)
+    T = G.tables()
+    els = T.els
+    assert els == G.elements()
+    assert all(T.index[g] == i for i, g in enumerate(els))
+    for a, g in enumerate(els):
+        assert els[T.inv[a]] == G.inv(g)
+        assert T.label[a] == G.class_of(g).label
+        mul, conj = T.mul[a], T.conj[a]
+        for b, x in enumerate(els):
+            assert els[mul[b]] == G.mul(g, x)
+            assert els[conj[b]] == G.conj(x, g)
+
+
+@pytest.mark.parametrize("spec,labels", [
+    ({"family": "affine2", "ell": 2, "k": 0, "order": 3},
+     ("C+", "C+", "C-", "C-")),
+    ({"family": "affine2", "ell": 5, "k": 0, "order": 2}, ("2",) * 4),
+    ({"family": "affine2", "ell": 5, "k": 0, "order": 3},
+     ("C+", "C+", "C-", "C-")),
+    ({"family": "alternating", "n": 5}, ("5+", "5-", "3")),
+], ids=["a4", "serre5", "di5", "a5"])
+def test_automorphism_permutations_match(spec, labels):
+    from hurwitz.nielsen import _aut_perm
+    G = make_group(spec)
+    T = G.tables()
+    auts = G.aut_gens(labels)
+    assert auts
+    for a in auts:
+        perm = _aut_perm(G, a)
+        assert sorted(perm) == list(range(G.order))
+        assert [T.els[i] for i in perm] == [a(g) for g in T.els]
+
+
+# ---------------------------------------------------------------------
 # affine2 fast generation test vs generic closure oracle
 
 @settings(max_examples=120, deadline=None)

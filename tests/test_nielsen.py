@@ -92,6 +92,29 @@ def test_inner_canonical_is_true_minimum():
         assert t.entries == min(orbit)
 
 
+_BRUTE_SPECS = {"a4": (A4, ("C+", "C+", "C-", "C-")),
+                "d5": (D5, ("2",) * 4),
+                "s30": (S30, ("2",) * 4),
+                "a5": (A5, ("5+", "5-", "3"))}
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_BRUTE_SPECS)), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+def test_inner_canonical_is_brute_minimum(name, i, zi):
+    # a random Nielsen tuple: an enumerated form under a random
+    # conjugation; its canonical form is the least of all |G| conjugates
+    spec = spec_of(*_BRUTE_SPECS[name])
+    h = spec.group
+    forms = enumerate_tuples(spec)
+    t = forms[i % len(forms)]
+    z = h.elements()[zi % h.order]
+    moved = NielsenTuple(t.labels, tuple(h.conj(g, z) for g in t.entries))
+    brute = min(tuple(h.conj(g, y) for g in moved.entries)
+                for y in h.elements())
+    assert inner_canonical(spec, moved) == NielsenTuple(t.labels, brute)
+
+
 @pytest.mark.parametrize("gspec,labels", [
     (A4, ("C+", "C+", "C-", "C-")),
     (D3, ("2",) * 4),

@@ -4,7 +4,7 @@ automorphism test, and the inner/absolute component lattice."""
 
 from .groups import ConsistencyError, closure, partition
 from .nielsen import (NielsenTuple, canonical, absolute_class_map,
-                      apply_aut, enumerate_tuples, canonizer,
+                      apply_aut, nielsen_class, form_table, index_moves,
                       DEFAULT_BUDGET)
 
 
@@ -78,16 +78,6 @@ def orbit(spec, seed):
     return BraidOrbit(spec, closure(seed, moves), table)
 
 
-def _index_moves(T, r):
-    """q_1..q_{r-1} and sh on index tuples: q_i is (a, b) -> (a b a^-1, a)
-    at positions i, i+1."""
-    conj = T.conj
-
-    def twist(j):
-        return lambda e: e[:j] + (conj[e[j]][e[j + 1]], e[j]) + e[j + 2:]
-    return [twist(j) for j in range(r - 1)] + [lambda e: e[1:] + e[:1]]
-
-
 def braid_orbits(spec, forms, cmap=None):
     """The braid orbits on `forms`, a set of inner forms closed under the
     braid moves, in seed order.  Each move is applied once per form, on
@@ -97,17 +87,14 @@ def braid_orbits(spec, forms, cmap=None):
     move lands on the cmap image of its inner form."""
     h = spec.group
     T = h.tables()
-    canon = h.memo(canonizer, h)
     index_of = {t: T.indices(t.entries) for t in forms}
-    if cmap is None:
-        target = {e: t for t, e in index_of.items()}
-    else:
+    target = None
+    if cmap is not None:
         form_of = {t: t for t in forms}
         target = {T.indices(t.entries): form_of.get(a)
                   for t, a in cmap.items()}
     # an image outside `forms` is None, which partition reports as escaped
-    table = [{t: target.get(canon(m(e))) for t, e in index_of.items()}
-             for m in _index_moves(T, spec.r)]
+    table = form_table(h, index_of, index_moves(T, spec.r), target)
     return [BraidOrbit(spec, o, table) for o in
             partition(forms, [d.get for d in table],
                       "braid orbit escaped the enumeration")]
@@ -116,11 +103,11 @@ def braid_orbits(spec, forms, cmap=None):
 def _orbits(spec, budget):
     """(cmap, the braid orbits of spec), read through spec.memo; cmap is
     the absolute class map of the inner forms, None for an inner spec.
-    The twins share the enumeration of the inner forms."""
-    forms = spec.memo(enumerate_tuples, spec.as_inner(), budget)
+    The twins share the inner Nielsen class and its move table."""
+    orbits, table = spec.memo(nielsen_class, spec.as_inner(), budget)
     if spec.equivalence == "inner":
-        return None, braid_orbits(spec, forms)
-    cmap = absolute_class_map(spec, forms)
+        return None, [BraidOrbit(spec, o, table) for o in orbits]
+    cmap = absolute_class_map(spec, [t for o in orbits for t in o])
     return cmap, braid_orbits(spec, set(cmap.values()), cmap)
 
 

@@ -317,9 +317,10 @@ def build_parser():
     p.add_argument("--cmd", default="report", choices=COMMANDS)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", default="json", choices=tuple(FORMATTERS))
+    # argparse converts a string default with `type`, so a bad
+    # HURWITZ_BUDGET is a usage error like a bad --budget
     p.add_argument("--budget", type=int,
-                   default=int(os.environ.get("HURWITZ_BUDGET",
-                                              DEFAULT_BUDGET)))
+                   default=os.environ.get("HURWITZ_BUDGET", DEFAULT_BUDGET))
     p.add_argument("--cache", default=os.environ.get("HURWITZ_CACHE"))
     return p
 
@@ -350,7 +351,8 @@ def run(argv=None):
     except ConsistencyError as e:
         print("internal inconsistency: %s" % e, file=sys.stderr)
         return EXIT_INTERNAL
-    except ValueError as e:
+    except (OSError, ValueError) as e:
+        # OSError: the output or cache path cannot be written
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     return EXIT_OK

@@ -1,6 +1,7 @@
 """Finite group families used throughout: element arithmetic, conjugacy
-classes, generation tests, automorphism data, and the central extensions
-that feed the lift-invariant machinery.
+classes, the generation test (one subgroup closure, which enumeration
+runs once per braid orbit), automorphism data, and the central
+extensions that feed the lift-invariant machinery.
 
 Elements are plain (nested) tuples of ints, so they hash, compare and
 serialize for free; each GroupHandle supplies the operations.  The total
@@ -627,38 +628,6 @@ class Affine2(GroupHandle):
     def _all_elements(self):
         R = range(self.L)
         return [(c, (x, y)) for c in range(self.aut_order) for x in R for y in R]
-
-    def generates(self, elems):
-        """Exact fast path: with g1 = (c1, v1), c1 a unit mod the aut
-        order, the generated subgroup is <g1> * M with M the Z[A]-span of
-        the c-cancelled differences; M is full iff it is full mod ell
-        (Nakayama).  Falls back to the generic closure otherwise."""
-        cs = [g[0] % self.aut_order for g in elems]
-        pivot = next((i for i, c in enumerate(cs) if c != 0), None)
-        if pivot is None or math.gcd(cs[pivot], self.aut_order) != 1:
-            return super().generates(elems)
-        g1 = elems[pivot]
-        inv1 = self.inv(g1)
-        ic1 = inverse_mod(cs[pivot], self.aut_order)
-        spans = []
-        for i, g in enumerate(elems):
-            h = g
-            for _ in range(cs[i] * ic1 % self.aut_order):
-                h = self.mul(h, inv1)
-            assert h[0] == 0
-            spans.append(h[1])
-        if self.aut_order == 3:
-            spans.extend([self._act(1, v) for v in list(spans)])
-        ell = self.ell
-        red = [(v[0] % ell, v[1] % ell) for v in spans]
-        for i, (a, b) in enumerate(red):
-            if a % ell:
-                f = inverse_mod(a, ell)
-                return any((d - f * c * b) % ell for c, d in red)
-            if b % ell:
-                f = inverse_mod(b, ell)
-                return any((c - f * d * a) % ell for c, d in red)
-        return False
 
     def to_spec(self):
         return {"family": "affine2", "ell": self.ell, "k": self.k,

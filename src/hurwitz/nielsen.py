@@ -1,5 +1,6 @@
 """Nielsen tuples: the product-one/generation predicate, inner and
-absolute canonical forms, pinned enumeration, Riemann-Hurwitz cover
+absolute canonical forms, the move tables of braid and automorphism
+moves, pinned enumeration into braid orbits, Riemann-Hurwitz cover
 genus, and HM/DI shape detection.
 
 A tuple is a NielsenTuple(labels, entries): `labels[i]` is the class
@@ -203,13 +204,39 @@ def canonical(spec, t):
 DEFAULT_BUDGET = 10 ** 8
 
 
-def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
-    """All canonical representatives of the Nielsen class.  Inner forms
-    are produced by pinning the first entry to its class representative
-    (every tuple is conjugate to a pinned one) and canonicalizing; each
-    new canonical form gets the generation test, which conjugation does
-    not change.  Absolute forms glue the inner ones along the
-    automorphism generators."""
+def index_moves(T, r):
+    """q_1..q_{r-1} and sh on index tuples: q_i is (a, b) -> (a b a^-1, a)
+    at positions i, i+1."""
+    conj = T.conj
+
+    def twist(j):
+        return lambda e: e[:j] + (conj[e[j]][e[j + 1]], e[j]) + e[j + 2:]
+    return [twist(j) for j in range(r - 1)] + [lambda e: e[1:] + e[:1]]
+
+
+def form_table(h, index_of, maps, target=None):
+    """For each index map in `maps`, a dict from every form of `index_of`
+    (form -> its index tuple) to the form object of the canonical image
+    of its index tuple: the image's value in `target` (canonical index
+    tuple -> form object, by default the forms of `index_of`), or None
+    when `target` lacks it, which partition reports as escaped."""
+    canon = h.memo(canonizer, h)
+    if target is None:
+        target = {e: t for t, e in index_of.items()}
+    return [{t: target.get(canon(m(e))) for t, e in index_of.items()}
+            for m in maps]
+
+
+def nielsen_class(spec, budget=DEFAULT_BUDGET):
+    """The inner Nielsen class of spec as (orbits, table).  The canonical
+    forms of the product-one tuples are enumerated by pinning the first
+    entry to its class representative (every tuple is conjugate to a
+    pinned one); `table` is their braid-move table, and `orbits` are the
+    braid orbits on them that generate G, as frozensets of forms in seed
+    order.  A braid move keeps the generated subgroup and a conjugation
+    conjugates it, so generation is tested on one form per orbit.
+    Callers read it through spec.memo, once per (spec, budget) and
+    shared by the twins."""
     h = spec.group
     classes = h.classes()
     orderings = sorted(set(permutations(spec.labels)))
@@ -223,7 +250,7 @@ def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
     T = h.tables()
     mul, inv = T.mul, T.inv
     canon = h.memo(canonizer, h)
-    forms, rejected = {}, set()     # forms: canonical form -> its labels
+    forms = {}      # canonical form -> its labels
     for ordering in orderings:
         pin = T.index[classes[ordering[0]].rep]
         mids = [sorted(T.indices(classes[lab].members))
@@ -234,17 +261,22 @@ def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
             for g in combo:
                 p = mul[p][g]
             tail = inv[p]
-            if tail not in last:
-                continue
-            form = canon((pin,) + combo + (tail,))
-            if form in forms or form in rejected:
-                continue
-            if h.generates([T.els[i] for i in form]):
-                forms[form] = ordering
-            else:
-                rejected.add(form)
-    inner = sorted(NielsenTuple(labels, tuple(map(T.els.__getitem__, e)))
-                   for e, labels in forms.items())
+            if tail in last:
+                forms.setdefault(canon((pin,) + combo + (tail,)), ordering)
+    index_of = {NielsenTuple(labels, tuple(map(T.els.__getitem__, e))): e
+                for e, labels in forms.items()}
+    table = form_table(h, index_of, index_moves(T, spec.r))
+    orbits = partition(index_of, [d.get for d in table],
+                       "braid orbit escaped the enumeration")
+    return [o for o in orbits if h.generates(list(min(o).entries))], table
+
+
+def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
+    """All canonical representatives of the Nielsen class, sorted: the
+    members of the generating braid orbits of nielsen_class.  Absolute
+    forms glue the inner ones along the automorphism generators."""
+    orbits, _ = spec.memo(nielsen_class, spec.as_inner(), budget)
+    inner = sorted(t for o in orbits for t in o)
     if spec.equivalence == "inner":
         return inner
     return sorted(set(absolute_class_map(spec, inner).values()))
@@ -255,15 +287,10 @@ def absolute_class_map(spec, inner_forms):
     automorphism-closure component), over a complete set of inner forms."""
     h = spec.group
     T = h.tables()
-    canon = h.memo(canonizer, h)
     index_of = {t: T.indices(t.entries) for t in inner_forms}
-    form_of = {e: t for t, e in index_of.items()}
-    # an image outside inner_forms is None, which partition reports
-    table = []
-    for a in spec.aut_gens():
-        perm = h.memo(_aut_perm, h, a)
-        table.append({t: form_of.get(canon(tuple(map(perm.__getitem__, e))))
-                      for t, e in index_of.items()})
+    perms = [h.memo(_aut_perm, h, a) for a in spec.aut_gens()]
+    moves = [lambda e, p=p: tuple(map(p.__getitem__, e)) for p in perms]
+    table = form_table(h, index_of, moves)
     cmap = {}
     for o in partition(inner_forms, [d.get for d in table],
                        "automorphism orbit left the enumeration"):

@@ -97,6 +97,12 @@ def test_exit_codes(tmp_path, a4_file):
     assert cli.run(["--spec", a4_file, "--jobs", "2"]) == cli.EXIT_CONFIG
     assert cli.run(["--spec", a4_file, "--format", "text"]) == \
         cli.EXIT_CONFIG
+    # an output or cache directory that names an existing regular file
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for flag in ("--out", "--cache"):
+        assert cli.run(["--spec", a4_file, "--cmd", "enumerate",
+                        flag, str(afile)]) == cli.EXIT_CONFIG, flag
 
 
 def test_all_commands_run(tmp_path, a4_file):
@@ -134,6 +140,8 @@ def test_tower_command(tmp_path, a4_file):
 def test_env_overrides(tmp_path, a4_file, monkeypatch):
     monkeypatch.setenv("HURWITZ_BUDGET", "3")
     assert cli.run(["--spec", a4_file]) == cli.EXIT_BUDGET
+    monkeypatch.setenv("HURWITZ_BUDGET", "abc")
+    assert cli.run(["--spec", a4_file]) == cli.EXIT_CONFIG
     monkeypatch.setenv("HURWITZ_BUDGET", "1000000")
     cache = tmp_path / "envcache"
     monkeypatch.setenv("HURWITZ_CACHE", str(cache))
@@ -247,16 +255,21 @@ def test_cold_report_work_counts(tmp_path, a4_file, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, name in [(braid, "enumerate_tuples"),
+    for mod, name in [(braid, "nielsen_class"),
                       (cli, "reduce_orbit"), (cli, "orbit_lift_invariant"),
                       (lift, "orbit_lift_invariant")]:
         monkeypatch.setattr(mod, name, counted(mod, name))
+    monkeypatch.setattr(GroupHandle, "generates",
+                        counted(GroupHandle, "generates"))
     code, out = run_to_file(tmp_path, a4_file, "--cmd", "report",
                             "--cache", str(tmp_path / "cache"))
     assert code == cli.EXIT_OK
     norbits = len(json.loads(read_report(out))["orbits"]["orbits"])
     assert norbits == 2
-    assert calls == {"enumerate_tuples": 1, "reduce_orbit": norbits,
+    # generation is tested once per braid orbit of the 36 product-one
+    # forms: the 2 orbits of the Nielsen class and 1 that does not generate
+    assert calls == {"nielsen_class": 1, "generates": 3,
+                     "reduce_orbit": norbits,
                      "orbit_lift_invariant": norbits}
 
 
@@ -292,17 +305,17 @@ def _enumerate_one_orbit_cache(tmp_path, a4_file):
 
 
 @pytest.mark.parametrize("case, enumerations, braid_orbit_calls", [
-    (_cold_report, 1, 2), (_absolute_orbits_cmd, 1, 2),
-    (_tower_over_all_orbits, 2, 2), (_enumerate_one_orbit_cache, 1, 1)],
+    (_cold_report, 1, 1), (_absolute_orbits_cmd, 1, 1),
+    (_tower_over_all_orbits, 2, 0), (_enumerate_one_orbit_cache, 1, 0)],
     ids=["cold-report", "absolute-orbits", "tower", "one-orbit-cache"])
 def test_orbit_work_counts(tmp_path, a4_file, monkeypatch, case,
                            enumerations, braid_orbit_calls):
-    # each Nielsen class is enumerated, and each of its inner and
-    # absolute braid orbits computed, once per spec
+    # each Nielsen class is enumerated into its inner braid orbits, and
+    # its absolute braid orbits computed, once per spec
     from hurwitz import braid
 
     act = case(tmp_path, a4_file)
-    calls = {"enumerate_tuples": 0, "braid_orbits": 0}
+    calls = {"nielsen_class": 0, "braid_orbits": 0}
     for name in calls:
         fn = getattr(braid, name)
 
@@ -311,7 +324,7 @@ def test_orbit_work_counts(tmp_path, a4_file, monkeypatch, case,
             return fn(*args, **kwargs)
         monkeypatch.setattr(braid, name, counted)
     assert act() == cli.EXIT_OK
-    assert calls == {"enumerate_tuples": enumerations,
+    assert calls == {"nielsen_class": enumerations,
                      "braid_orbits": braid_orbit_calls}
 
 

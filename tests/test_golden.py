@@ -45,6 +45,11 @@ CASES = {
                            "733ff0a963f2e3b8e0d6c69faba85e87"),
     "tower-a4": (A4, "tower", "a733bbd98a20f8c3644624ff5728fa06"
                               "ad7cf0312154ec7be11d697eaeeb9ed2"),
+    # child class Serre l=3 k=1: 1 337 of its 3 281 product-one forms do
+    # not generate
+    "tower-serre3": (_serre(3), "tower",
+                     "e1694331851acf5cb55ff927c1545c00"
+                     "1dada8eca4750c90df2b7acf121b11fb"),
 }
 
 

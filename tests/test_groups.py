@@ -2,11 +2,10 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from hurwitz.groups import (make_group, central_extension, central_lift,
-                            gl_orders, cen_in_Sn,
-                            GroupHandle, ConsistencyError, _gl_brute)
+                            gl_orders, cen_in_Sn, ConsistencyError,
+                            _gl_brute)
 
 SPECS = [
     {"family": "affine2", "ell": 2, "k": 0, "order": 3},
@@ -122,24 +121,6 @@ def test_automorphism_permutations_match(spec, labels):
         perm = _aut_perm(G, a)
         assert sorted(perm) == list(range(G.order))
         assert [T.els[i] for i in perm] == [a(g) for g in T.els]
-
-
-# ---------------------------------------------------------------------
-# affine2 fast generation test vs generic closure oracle
-
-@settings(max_examples=120, deadline=None)
-@given(st.data())
-def test_affine2_generates_oracle(data):
-    spec = data.draw(st.sampled_from([
-        {"family": "affine2", "ell": 2, "k": 0, "order": 3},
-        {"family": "affine2", "ell": 3, "k": 0, "order": 2},
-        {"family": "affine2", "ell": 2, "k": 1, "order": 3},
-        {"family": "affine2", "ell": 5, "k": 0, "order": 3},
-    ]))
-    G = make_group(spec)
-    els = G.elements()
-    tup = data.draw(st.lists(st.sampled_from(els), min_size=2, max_size=4))
-    assert G.generates(list(tup)) == GroupHandle.generates(G, list(tup))
 
 
 # ---------------------------------------------------------------------

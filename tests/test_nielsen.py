@@ -121,8 +121,11 @@ def test_inner_canonical_is_brute_minimum(name, i, zi):
     (D5, ("2",) * 4),
     (S30, ("2",) * 4),
     (A5, ("5+", "5-", "3")),
+    (A5, ("3",) * 4),
 ])
 def test_pinned_vs_unpinned_oracle(gspec, labels):
+    # on S30 and A5 C3^4 many product-one forms do not generate (17 of
+    # 41, 33 of 51), so whole braid orbits are dropped by the pinned side
     for eq in ("inner", "absolute"):
         spec = spec_of(gspec, labels, eq)
         assert enumerate_tuples(spec) == unpinned_enumerate(spec)

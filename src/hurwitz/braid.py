@@ -1,10 +1,14 @@
 """The Hurwitz-monodromy action on Nielsen classes: twists q_i and the
-shift sh, braid-orbit BFS over canonical forms, the braidable-
-automorphism test, and the inner/absolute component lattice."""
+shift sh, braid orbits on the numbered class (absolute ones through the
+absolute class map) and the BFS oracle over canonical forms, the
+braidable-automorphism test, and the inner/absolute component lattice."""
 
+from array import array
+from functools import cached_property
+
+from . import nielsen    # one name per memoized class derivation
 from .groups import ConsistencyError, closure, partition
-from .nielsen import (NielsenTuple, canonical, absolute_class_map,
-                      apply_aut, nielsen_class, form_table, index_moves,
+from .nielsen import (NielsenTuple, canonical, apply_aut, from_indices,
                       DEFAULT_BUDGET)
 
 
@@ -46,76 +50,68 @@ def braid_moves(spec):
 
 
 class BraidOrbit:
-    """One braid orbit.  `moves` is the move table: for each map of
-    braid_moves(spec), a dict from every form (at least every member) to
-    the form its move lands on."""
+    """One braid orbit: `nums`, the numbers of its forms; `forms`, the
+    canonical index tuple of each number; and `moves`, for each map of
+    braid_moves(spec), an array from each number (at least each of
+    `nums`) to the number its move lands on.  The orbits of one class
+    share `forms` and `moves`.  The NielsenTuples `members` are built on
+    first use."""
 
-    def __init__(self, spec, members, moves):
+    def __init__(self, spec, nums, forms, moves):
         self.spec = spec
-        self.members = frozenset(members)
-        self.seed = min(members)
-        self.size = len(self.members)
+        self.nums = frozenset(nums)
+        self.forms = forms
         self.moves = moves
+        self.size = len(self.nums)
+        self.seed = from_indices(spec.group.tables(), forms[min(nums)])
+
+    @cached_property
+    def members(self):
+        T = self.spec.group.tables()
+        return frozenset(from_indices(T, self.forms[k]) for k in self.nums)
 
     def __repr__(self):
         return "BraidOrbit(size=%d, seed=%s)" % (self.size, (self.seed,))
 
-    def __eq__(self, other):
-        return self.members == other.members
-
-    def __hash__(self):
-        return hash(self.members)
-
 
 def orbit(spec, seed):
     """Braid orbit of a canonical seed (BFS under q_i, sh, re-canonicalized
-    after every move); its move table records each move the BFS makes."""
+    after every move), numbered in form order; its move arrays record each
+    move the BFS makes."""
     if canonical(spec, seed) != seed:
         raise ValueError("seed is not canonical")
     table = [{} for _ in range(spec.r)]
     moves = [lambda t, m=m, d=d: d.setdefault(t, canonical(spec, m(t)))
              for m, d in zip(braid_moves(spec), table)]
-    return BraidOrbit(spec, closure(seed, moves), table)
-
-
-def braid_orbits(spec, forms, cmap=None):
-    """The braid orbits on `forms`, a set of inner forms closed under the
-    braid moves, in seed order.  Each move is applied once per form, on
-    element indices, and its canonical image is mapped back to the form
-    object in `forms`; the orbits share this move table.  Given an
-    absolute class map `cmap`, the forms are its absolute forms and each
-    move lands on the cmap image of its inner form."""
-    h = spec.group
-    T = h.tables()
-    index_of = {t: T.indices(t.entries) for t in forms}
-    target = None
-    if cmap is not None:
-        form_of = {t: t for t in forms}
-        target = {T.indices(t.entries): form_of.get(a)
-                  for t, a in cmap.items()}
-    # an image outside `forms` is None, which partition reports as escaped
-    table = form_table(h, index_of, index_moves(T, spec.r), target)
-    return [BraidOrbit(spec, o, table) for o in
-            partition(forms, [d.get for d in table],
-                      "braid orbit escaped the enumeration")]
+    members = sorted(closure(seed, moves))
+    number = {t: k for k, t in enumerate(members)}
+    T = spec.group.tables()
+    return BraidOrbit(spec, range(len(members)),
+                      [T.indices(t.entries) for t in members],
+                      [array("i", [number[d[t]] for t in members])
+                       for d in table])
 
 
 def _orbits(spec, budget):
-    """(cmap, the braid orbits of spec), read through spec.memo; cmap is
-    the absolute class map of the inner forms, None for an inner spec.
-    The twins share the inner Nielsen class and its move table."""
-    orbits, table = spec.memo(nielsen_class, spec.as_inner(), budget)
+    """The braid orbits of spec, read through spec.memo.  The twins share
+    the numbered inner class: an absolute form carries the number of the
+    least inner form of its automorphism class, and the absolute move
+    arrays are the inner ones composed with the absolute class map."""
+    nc = spec.memo(nielsen.nielsen_class, spec.as_inner(), budget)
     if spec.equivalence == "inner":
-        return None, [BraidOrbit(spec, o, table) for o in orbits]
-    cmap = absolute_class_map(spec, [t for o in orbits for t in o])
-    return cmap, braid_orbits(spec, set(cmap.values()), cmap)
+        return [BraidOrbit(spec, o, nc.forms, nc.moves) for o in nc.orbits]
+    cmap = spec.memo(nielsen.absolute_class_map, spec, budget)
+    moves = [array("i", map(cmap.__getitem__, m)) for m in nc.moves]
+    return [BraidOrbit(spec, o, nc.forms, moves) for o in
+            partition(set(cmap) - {-1}, [m.__getitem__ for m in moves],
+                      "braid orbit escaped the enumeration")]
 
 
 def all_orbits(spec, budget=DEFAULT_BUDGET):
     """Partition of enumerate_tuples(spec) into braid orbits, in seed
     order; computed once per (spec, budget), so the list is shared and
     not to be changed."""
-    return spec.memo(_orbits, spec, budget)[1]
+    return spec.memo(_orbits, spec, budget)
 
 
 def braidable(spec, braid_orbit, a):
@@ -140,29 +136,25 @@ def component_lattice(spec, budget=DEFAULT_BUDGET):
     """Inner orbits, absolute orbits, the covering between them, and the
     verified component count v = (N_T : N^br) per absolute orbit."""
     inner_spec = spec.as_inner()
+    abs_spec = spec.as_absolute()
     inner_orbits = all_orbits(inner_spec, budget)
-    cmap, abs_orbits = spec.memo(_orbits, spec.as_absolute(), budget)
+    abs_orbits = spec.memo(_orbits, abs_spec, budget)
+    cmap = spec.memo(nielsen.absolute_class_map, abs_spec, budget)
 
-    abs_of_form = {}
-    for i, o in enumerate(abs_orbits):
-        for t in o.members:
-            abs_of_form[t] = i
-
-    covering = {}
+    # each inner orbit lies over one absolute orbit, and merging the inner
+    # orbits along cmap reproduces the absolute partition
+    abs_of = {k: i for i, o in enumerate(abs_orbits) for k in o.nums}
+    covering, merged = {}, {}
     for j, o in enumerate(inner_orbits):
-        images = {abs_of_form[cmap[t]] for t in o.members}
+        roots = {cmap[k] for k in o.nums}
+        images = {abs_of[k] for k in roots}
         if len(images) != 1:
             raise ConsistencyError("inner orbit maps to %d absolute orbits"
                                    % len(images))
-        covering[j] = images.pop()
-
-    # cross-check: merging inner orbits along cmap reproduces the direct
-    # absolute partition
-    merged = {}
-    for j, o in enumerate(inner_orbits):
-        merged.setdefault(covering[j], set()).update(cmap[t] for t in o.members)
+        covering[j] = i = images.pop()
+        merged.setdefault(i, set()).update(roots)
     for i, o in enumerate(abs_orbits):
-        if merged.get(i) != set(o.members):
+        if merged.get(i) != o.nums:
             raise ConsistencyError("absolute orbits disagree with the "
                                    "inner-orbit merge")
 

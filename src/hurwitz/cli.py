@@ -108,7 +108,7 @@ class Component:
     `genus`.  With `lift`: the orbit's `lift` value, or None and the
     ValueError `lift_error` when the lift machinery does not apply."""
 
-    def __init__(self, inner, orbit, reduced, lift):
+    def __init__(self, orbit, reduced, lift):
         self.orbit = orbit
         if reduced:
             self.rc = reduce_orbit(orbit)
@@ -116,16 +116,14 @@ class Component:
         self.lift = self.lift_error = None
         if lift:
             try:
-                self.lift = orbit_lift_invariant(inner, orbit)
+                self.lift = orbit_lift_invariant(orbit.spec, orbit)
             except ValueError as e:
                 self.lift_error = e
 
 
 def _components(spec, budget, reduced=True, lift=True):
     """One Component per braid orbit, in orbit order."""
-    inner = spec.as_inner()
-    return [Component(inner, o, reduced, lift)
-            for o in all_orbits(spec, budget)]
+    return [Component(o, reduced, lift) for o in all_orbits(spec, budget)]
 
 
 def cmd_enumerate(spec, budget):

@@ -6,8 +6,8 @@ import math
 
 from .groups import (make_group, central_extension, central_lift,
                      ConsistencyError, closure, cycles)
-from .nielsen import (NielsenSpec, NielsenTuple, canonizer,
-                      from_indices, DEFAULT_BUDGET)
+from . import nielsen    # one name per memoized class derivation
+from .nielsen import NielsenSpec, NielsenTuple, canonizer, DEFAULT_BUDGET
 from .braid import all_orbits
 
 
@@ -98,8 +98,11 @@ def di_triple(spec, m2, n2):
 
 
 def orbit_lift_invariant(spec, orbit):
-    """The orbit's lift value; constancy over all members is a hard
-    gate."""
+    """The lift value of an inner orbit; constancy over all members is a
+    hard gate.  An absolute orbit carries one value per inner orbit above
+    it, so it has none."""
+    if orbit.spec.equivalence != "inner":
+        raise ValueError("the lift invariant is defined on inner orbits")
     vals = {lift_invariant(spec, t) for t in orbit.members}
     if len(vals) != 1:
         raise ConsistencyError("lift invariant not constant on orbit: %s"
@@ -156,22 +159,22 @@ def _reduction(child, parent):
 
 def _next_level(spec, budget):
     """The level-(k+1) spec, its braid orbits, and for each of them the
-    set of base forms its members reduce to.  Hard gate: each child orbit
-    reduces into exactly one base orbit."""
+    set of base form numbers its members reduce to.  Hard gate: each
+    child orbit reduces into exactly one base orbit."""
     h = spec.group
     child = level_up(h)
     child_spec = NielsenSpec(child, spec.labels, "inner", spec.T)
     base_orbits = all_orbits(spec, budget)
     kids = all_orbits(child_spec, budget)
-    T, cT = h.tables(), child.tables()
+    number = spec.memo(nielsen.nielsen_class, spec.as_inner(), budget).number
     red = child.memo(_reduction, child, h)
     canon = h.memo(canonizer, h)
     below = []
     for o in kids:
-        base = {canon(tuple(red[i] for i in cT.indices(t.entries)))
-                for t in o.members}
-        base = frozenset(from_indices(T, e) for e in base)
-        if not any(base <= b.members for b in base_orbits):
+        base = frozenset(
+            number.get(canon(tuple(map(red.__getitem__, o.forms[k]))), -1)
+            for k in o.nums)
+        if not any(base <= b.nums for b in base_orbits):
             raise ConsistencyError("child orbit does not reduce into one "
                                    "base orbit")
         below.append(base)
@@ -187,7 +190,10 @@ def tower_lift(spec, orbit, budget=DEFAULT_BUDGET):
     covers that these abelian-kernel levels never factor through."""
     h = spec.group
     child_spec, kids, below = spec.memo(_next_level, spec, budget)
-    out = [o for o, base in zip(kids, below) if base <= orbit.members]
+    # the orbit's forms by their numbers in the class, whatever numbered it
+    number = spec.memo(nielsen.nielsen_class, spec.as_inner(), budget).number
+    nums = {number.get(orbit.forms[k]) for k in orbit.nums}
+    out = [o for o, base in zip(kids, below) if base <= nums]
     if h.family == "affine2":
         base_val = orbit_lift_invariant(spec, orbit)
         for o in out:
@@ -239,10 +245,7 @@ def bcl_data(spec):
     """Stability of the class multiset under C -> C^u, inner and modulo
     the normalizer action."""
     h = spec.group
-    orders = [h.classes()[lab].elem_order for lab in spec.labels]
-    N = 1
-    for o in orders:
-        N = N * o // math.gcd(N, o)
+    N = math.lcm(*(h.classes()[lab].elem_order for lab in spec.labels))
 
     def powered(u):
         out = []

@@ -1,14 +1,16 @@
 """Nielsen tuples: the product-one/generation predicate, inner and
-absolute canonical forms, the move tables of braid and automorphism
-moves, pinned enumeration into braid orbits, Riemann-Hurwitz cover
+absolute canonical forms, the numbered Nielsen class with its braid-move
+arrays and braid orbits, the absolute class map, Riemann-Hurwitz cover
 genus, and HM/DI shape detection.
 
 A tuple is a NielsenTuple(labels, entries): `labels[i]` is the class
 label of `entries[i]`.  Braids permute the labels along with the entries,
 so tuples over a class multiset with repeats keep their position->class
-assignment intact.
+assignment intact.  Inside the class, a form is its number: its place in
+NielsenTuple order among the canonical index tuples.
 """
 
+from array import array
 from itertools import product, permutations
 from typing import NamedTuple
 
@@ -178,18 +180,14 @@ def apply_aut(spec, a, t):
     the inner canonical form."""
     h = spec.group
     T = h.tables()
-    e = T.indices(a(g) for g in t.entries)
-    return from_indices(T, h.memo(canonizer, h)(e))
-
-
-def _aut_moves(spec):
-    return [lambda t, a=a: apply_aut(spec, a, t) for a in spec.aut_gens()]
+    return from_indices(T, h.memo(canonizer, h)(T.indices(map(a, t.entries))))
 
 
 def absolute_canonical(spec, t):
     """Min over the closure of the inner form under the automorphism
     generators (the same value the orbit machinery assigns)."""
-    return min(closure(inner_canonical(spec, t), _aut_moves(spec)))
+    return min(closure(inner_canonical(spec, t), [
+        lambda t, a=a: apply_aut(spec, a, t) for a in spec.aut_gens()]))
 
 
 def canonical(spec, t):
@@ -214,43 +212,52 @@ def index_moves(T, r):
     return [twist(j) for j in range(r - 1)] + [lambda e: e[1:] + e[:1]]
 
 
-def form_table(h, index_of, maps, target=None):
-    """For each index map in `maps`, a dict from every form of `index_of`
-    (form -> its index tuple) to the form object of the canonical image
-    of its index tuple: the image's value in `target` (canonical index
-    tuple -> form object, by default the forms of `index_of`), or None
-    when `target` lacks it, which partition reports as escaped."""
-    canon = h.memo(canonizer, h)
-    if target is None:
-        target = {e: t for t, e in index_of.items()}
-    return [{t: target.get(canon(m(e))) for t, e in index_of.items()}
-            for m in maps]
-
-
-def nielsen_class(spec, budget=DEFAULT_BUDGET):
-    """The inner Nielsen class of spec as (orbits, table).  The canonical
-    forms of the product-one tuples are enumerated by pinning the first
-    entry to its class representative (every tuple is conjugate to a
-    pinned one); `table` is their braid-move table, and `orbits` are the
-    braid orbits on them that generate G, as frozensets of forms in seed
-    order.  A braid move keeps the generated subgroup and a conjugation
-    conjugates it, so generation is tested on one form per orbit.
-    Callers read it through spec.memo, once per (spec, budget) and
-    shared by the twins."""
-    h = spec.group
-    classes = h.classes()
+def _orderings(spec, free, budget):
+    """The orderings of the class labels, once the raw tuple count, with
+    the classes `free` chosen freely in each ordering, is within budget."""
     orderings = sorted(set(permutations(spec.labels)))
     raw = len(orderings)
-    for lab in spec.labels[1:-1]:
-        raw *= len(classes[lab].members)
+    for lab in free:
+        raw *= len(spec.group.classes()[lab].members)
     if raw > budget:
         raise BudgetExceeded("raw tuple count %d exceeds budget %d"
                              % (raw, budget))
+    return orderings
 
+
+def form_table(h, forms, number, maps):
+    """For each index map in `maps`, an array over the numbers of `forms`
+    (number -> canonical index tuple): the number of the canonical image
+    of each form under the map, or -1 when `number` lacks it, which
+    partition reports as escaped."""
+    canon = h.memo(canonizer, h)
+    return [array("i", [number.get(canon(m(e)), -1) for e in forms])
+            for m in maps]
+
+
+class NielsenClass(NamedTuple):
+    forms: list     # number -> canonical index tuple
+    number: dict    # canonical index tuple -> number
+    moves: list     # per q_1..q_{r-1} and sh, an array over the numbers
+    orbits: list    # the generating braid orbits, frozensets of numbers
+
+
+def nielsen_class(spec, budget=DEFAULT_BUDGET):
+    """The numbered inner NielsenClass of spec.  The canonical forms of the
+    product-one tuples are enumerated by pinning the first entry to its
+    class representative (every tuple is conjugate to a pinned one) and
+    numbered in NielsenTuple order, so an orbit's least number is its
+    seed.  A braid move keeps the generated subgroup and a conjugation
+    conjugates it, so generation is tested on one form per orbit.  Callers
+    read it through spec.memo with the inner spec, once per (spec, budget)
+    and shared by the twins."""
+    h = spec.group
+    classes = h.classes()
+    orderings = _orderings(spec, spec.labels[1:-1], budget)
     T = h.tables()
     mul, inv = T.mul, T.inv
     canon = h.memo(canonizer, h)
-    forms = {}      # canonical form -> its labels
+    found = {}      # canonical form -> its labels
     for ordering in orderings:
         pin = T.index[classes[ordering[0]].rep]
         mids = [sorted(T.indices(classes[lab].members))
@@ -262,40 +269,48 @@ def nielsen_class(spec, budget=DEFAULT_BUDGET):
                 p = mul[p][g]
             tail = inv[p]
             if tail in last:
-                forms.setdefault(canon((pin,) + combo + (tail,)), ordering)
-    index_of = {NielsenTuple(labels, tuple(map(T.els.__getitem__, e))): e
-                for e, labels in forms.items()}
-    table = form_table(h, index_of, index_moves(T, spec.r))
-    orbits = partition(index_of, [d.get for d in table],
+                found.setdefault(canon((pin,) + combo + (tail,)), ordering)
+    forms = sorted(found, key=lambda e: (found[e], e))
+    number = {e: k for k, e in enumerate(forms)}
+    moves = form_table(h, forms, number, index_moves(T, spec.r))
+    orbits = partition(range(len(forms)), [m.__getitem__ for m in moves],
                        "braid orbit escaped the enumeration")
-    return [o for o in orbits if h.generates(list(min(o).entries))], table
+    return NielsenClass(forms, number, moves, [
+        o for o in orbits
+        if h.generates([T.els[i] for i in forms[min(o)]])])
 
 
 def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
     """All canonical representatives of the Nielsen class, sorted: the
-    members of the generating braid orbits of nielsen_class.  Absolute
-    forms glue the inner ones along the automorphism generators."""
-    orbits, _ = spec.memo(nielsen_class, spec.as_inner(), budget)
-    inner = sorted(t for o in orbits for t in o)
-    if spec.equivalence == "inner":
-        return inner
-    return sorted(set(absolute_class_map(spec, inner).values()))
+    members of the generating braid orbits of nielsen_class, or for an
+    absolute spec their images under the absolute class map."""
+    nc = spec.memo(nielsen_class, spec.as_inner(), budget)
+    nums = [k for o in nc.orbits for k in o]
+    if spec.equivalence == "absolute":
+        cmap = spec.memo(absolute_class_map, spec, budget)
+        nums = set(map(cmap.__getitem__, nums))
+    T = spec.group.tables()
+    return [from_indices(T, nc.forms[k]) for k in sorted(nums)]
 
 
-def absolute_class_map(spec, inner_forms):
-    """inner canonical form -> absolute canonical form (min of its
-    automorphism-closure component), over a complete set of inner forms."""
+def absolute_class_map(spec, budget=DEFAULT_BUDGET):
+    """The absolute class map of the absolute spec, as an array over the
+    numbers of its inner class: a generating form's number -> the least
+    number of its component under the automorphism generators (its
+    absolute form), -1 for the non-generating forms.  Callers read it
+    through spec.memo, once per (spec, budget)."""
     h = spec.group
-    T = h.tables()
-    index_of = {t: T.indices(t.entries) for t in inner_forms}
+    nc = spec.memo(nielsen_class, spec.as_inner(), budget)
     perms = [h.memo(_aut_perm, h, a) for a in spec.aut_gens()]
     moves = [lambda e, p=p: tuple(map(p.__getitem__, e)) for p in perms]
-    table = form_table(h, index_of, moves)
-    cmap = {}
-    for o in partition(inner_forms, [d.get for d in table],
+    table = form_table(h, nc.forms, nc.number, moves)
+    cmap = array("i", [-1]) * len(nc.forms)
+    for o in partition([k for o in nc.orbits for k in o],
+                       [m.__getitem__ for m in table],
                        "automorphism orbit left the enumeration"):
         rep = min(o)
-        cmap.update(dict.fromkeys(o, rep))
+        for k in o:
+            cmap[k] = rep
     return cmap
 
 
@@ -304,15 +319,8 @@ def unpinned_enumerate(spec, budget=DEFAULT_BUDGET):
     only); must agree with enumerate_tuples."""
     h = spec.group
     classes = h.classes()
-    orderings = sorted(set(permutations(spec.labels)))
-    raw = len(orderings)
-    for lab in spec.labels[:-1]:
-        raw *= len(classes[lab].members)
-    if raw > budget:
-        raise BudgetExceeded("raw tuple count %d exceeds budget %d"
-                             % (raw, budget))
     forms = set()
-    for ordering in orderings:
+    for ordering in _orderings(spec, spec.labels[:-1], budget):
         cls = [classes[lab] for lab in ordering]
         last = cls[-1].members
         for combo in product(*[sorted(c.members) for c in cls[:-1]]):

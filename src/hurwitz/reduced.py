@@ -2,7 +2,8 @@
 Q'' = <sh^2, q1 q3^{-1}>, the j-line branch cycles gamma_0, gamma_1,
 gamma_infty, cusp widths with the middle-product prediction, the reduced
 genus with its Euler-characteristic oracle, sh-incidence matrices,
-moduli checks, and the Wohlfahrt congruence test.
+moduli checks, and the Wohlfahrt congruence test.  All of it runs on the
+form numbers of a braid orbit, read from its move arrays.
 
 The width prediction and the genus formula are hard gates: a mismatch
 raises ConsistencyError rather than warning.
@@ -13,14 +14,14 @@ from functools import cached_property
 
 from .groups import (ConsistencyError, gl_orders, cen_in_Sn, closure,
                      partition, cycles)
-from .braid import q_twist
+from .nielsen import index_moves
 
 
 class ReducedClass:
-    """Q''-orbit data over one braid orbit (the reduced component).  `sh2`
-    and `q1q3i` are the generators sh^2 and q1 q3^{-1} of Q'' as dicts on
-    the orbit's members; `gammas` and `cusps` are derived once, on first
-    use."""
+    """Q''-orbit data over one braid orbit (the reduced component), on the
+    numbers of its forms.  `sh2` and `q1q3i` are the generators sh^2 and
+    q1 q3^{-1} of Q'' as dicts on the orbit's numbers; `gammas` and
+    `cusps` are derived once, on first use."""
 
     def __init__(self, spec, orbit, qq_orbits, sh2, q1q3i):
         self.spec = spec
@@ -29,17 +30,9 @@ class ReducedClass:
         self.sh2 = sh2
         self.q1q3i = q1q3i
         self.reps = sorted(qq_orbits)
-        self._rep_of = {}
-        for rep, members in qq_orbits.items():
-            for t in members:
-                self._rep_of[t] = rep
-
-    def rep_of(self, t):
-        return self._rep_of[t]
-
-    @property
-    def degree(self):
-        return len(self.reps)
+        self.degree = len(self.reps)
+        self.rep_of = {k: rep for rep, members in qq_orbits.items()
+                       for k in members}.__getitem__
 
     @cached_property
     def gammas(self):
@@ -52,18 +45,18 @@ class ReducedClass:
 
 def reduce_orbit(orbit):
     """Partition a braid orbit into Q''-orbits, read from its move
-    table."""
+    arrays."""
     spec = orbit.spec
     if spec.r != 4:
         raise ValueError("reduced classes need r = 4")
     if spec.equivalence != "inner":
         raise ValueError("reduction acts on inner classes")
     q1, _, q3, shift = orbit.moves
-    q3inv = {q3[t]: t for t in orbit.members}
-    sh2 = {t: shift[shift[t]] for t in orbit.members}
-    q1q3i = {t: q3inv[q1[t]] for t in orbit.members}
+    q3inv = {q3[k]: k for k in orbit.nums}
+    sh2 = {k: shift[shift[k]] for k in orbit.nums}
+    q1q3i = {k: q3inv[q1[k]] for k in orbit.nums}
     qq = {}
-    for o in partition(orbit.members, [sh2.__getitem__, q1q3i.__getitem__],
+    for o in partition(orbit.nums, [sh2.__getitem__, q1q3i.__getitem__],
                        "Q'' orbit escaped the braid orbit"):
         if len(o) not in (1, 2, 4):
             raise ConsistencyError("Q'' orbit of size %d" % len(o))
@@ -74,7 +67,7 @@ def reduce_orbit(orbit):
 def gamma_actions(rc):
     """gamma_0 = q1 q2, gamma_1 = q1 q2 q1, gamma_infty = q2 as
     permutations of the reduced representatives, read from the move
-    table; verifies the j-line relations
+    arrays; verifies the j-line relations
     gamma_0^3 = gamma_1^2 = gamma_0 gamma_1 gamma_infty = 1."""
     q1, q2 = rc.orbit.moves[:2]
     g0 = {t: rc.rep_of(q2[q1[t]]) for t in rc.reps}
@@ -102,24 +95,27 @@ class CuspOrbit:
         return "Cusp(u=%d,width=%d,f=%d)" % (self.u, self.width, self.f)
 
 
-def _middle_product_uv(spec, t):
-    """Prop.-style prediction of (u, v): u from the middle product
-    g2 g3 modulo the center of <g2, g3>, v the unreduced q2-orbit
-    length."""
-    h = spec.group
-    g2, g3 = t.entries[1], t.entries[2]
+def _middle_product_uv(h, g2, g3):
+    """Prop.-style prediction of (u, v) for the middle pair (g2, g3) of
+    element indices: u from the middle product g2 g3 modulo the center of
+    <g2, g3>, v the unreduced q2-orbit length.  Read through h.memo, once
+    per pair."""
     if g2 == g3:
         return 1, 1
-    H = h.subgroup_closure([g2, g3])
-    Z = [z for z in H
-         if h.mul(z, g2) == h.mul(g2, z) and h.mul(z, g3) == h.mul(g3, z)]
-    g = h.mul(g2, g3)
-    cyc = {h.power(g, i) for i in range(h.elem_order(g))}
-    u = h.elem_order(g) // len(cyc & set(Z))
+    T = h.tables()
+    e = T.index[h.identity]
+    m2, m3 = T.mul[g2], T.mul[g3]
+    H = closure(e, [m2.__getitem__, m3.__getitem__])
+    Z = {z for z in H if T.conj[g2][z] == z == T.conj[g3][z]}
+    cyc = closure(e, [lambda x: m2[m3[x]]])         # <g2 g3>
+    u = len(cyc) // len(cyc & Z)
     if u % 2:
-        gp = h.mul(g3, g2)
-        y = h.power(gp, (u - 1) // 2)
-        if h.elem_order(h.mul(y, g3)) == 2:
+        y = e
+        for _ in range((u - 1) // 2):
+            y = m3[m2[y]]                           # (g3 g2)^j
+        # g3 y is conjugate to y g3
+        x = m3[y]
+        if x != e and T.inv[x] == x:
             return u, u
     return u, 2 * u
 
@@ -129,8 +125,10 @@ def cusps(rc):
     the middle-product prediction (u,v) of the q2-orbit on raw tuples,
     and the Q''-stabilizer shortening f with width * f = q2-orbit length
     on inner classes."""
-    spec = rc.spec
+    h = rc.spec.group
+    forms = rc.orbit.forms
     q2 = rc.orbit.moves[1]
+    raw_q2 = index_moves(h.tables(), 4)[1]
     out = []
     for a, cyc in enumerate(cycles(rc.gammas[2], rc.reps)):
         width = len(cyc)
@@ -139,12 +137,13 @@ def cusps(rc):
         orbset = closure(t, [q2.__getitem__])
         vlen = len(orbset)
         # q2 orbit of the raw tuple: the object Prop.-predicted by (u,v)
-        raw_v = len(closure(t, [lambda x: q_twist(spec, 2, x)]))
-        u, v_pred = _middle_product_uv(spec, t)
+        e = forms[t]
+        raw_v = len(closure(e, [raw_q2]))
+        u, v_pred = h.memo(_middle_product_uv, h, e[1], e[2])
         if v_pred != raw_v:
             raise ConsistencyError(
                 "cusp prediction v=%d but raw q2 orbit has length %d "
-                "(u=%d, seed %s)" % (v_pred, raw_v, u, (t,)))
+                "(u=%d, seed %s)" % (v_pred, raw_v, u, (e,)))
         if raw_v % vlen:
             raise ConsistencyError("inner q2 orbit does not divide raw")
         # the four elements of Q'' applied to t
@@ -230,12 +229,9 @@ def wohlfahrt(rc):
     its degree d divides |PSL_2(Z/N)| and, when the complement order
     |PSL_2(Z/N)|/d forces a Sylow subgroup, the translation T must act
     on the d cosets with cycle type equal to the width multiset."""
-    cusp_list = rc.cusps
-    N = 1
-    for c in cusp_list:
-        N = N * c.width // math.gcd(N, c.width)
+    widths = sorted(c.width for c in rc.cusps)
+    N = math.lcm(*widths)
     d = rc.degree
-    widths = sorted(c.width for c in cusp_list)
     if N < 2:
         return {"N": N, "degree": d, "psl2": 1, "widths": widths,
                 "verdict": "inconclusive"}

@@ -11,7 +11,7 @@ import pytest
 
 from hurwitz.groups import make_group, gl_orders
 from hurwitz.nielsen import (NielsenSpec, enumerate_tuples, cover_genus,
-                             hm_detect, di_detect)
+                             hm_detect, di_detect, from_indices)
 from hurwitz.braid import all_orbits, component_lattice
 from hurwitz.reduced import reduce_orbit, cusps, reduced_genus, wohlfahrt
 from hurwitz.lift import (lift_invariant, serre_formula, serre_tuple,
@@ -159,12 +159,14 @@ def test_criterion_3_hm_di():
         # exhaustive cusp-level HM/DI exclusion at ell = 5, 7
         for ell in (5, 7):
             spec = di_spec(ell)
+            T = spec.group.tables()
             for o in all_orbits(spec):
                 rc = reduce_orbit(o)
                 for c in cusps(rc):
                     members = set()
                     for r in c.reps:
-                        members |= rc.qq_orbits[r]
+                        members |= {from_indices(T, o.forms[k])
+                                    for k in rc.qq_orbits[r]}
                     has_hm = any(hm_detect(spec, t) for t in members)
                     has_di = any(di_detect(spec, t) for t in members)
                     assert not (has_hm and has_di)

@@ -3,13 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hurwitz import nielsen
 from hurwitz.groups import make_group, partition, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
                              inner_canonical, enumerate_tuples,
-                             absolute_class_map)
+                             absolute_class_map, nielsen_class, form_table,
+                             index_moves, from_indices, apply_aut)
 from hurwitz.braid import (q_twist, q_untwist, sh, braid_moves, orbit,
-                           all_orbits, braid_orbits, braidable,
-                           component_lattice)
+                           all_orbits, braidable, component_lattice)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}
@@ -100,10 +101,18 @@ def test_orbit_matches_partition(a4_spec):
     for o in orbs:
         # rebuilding from any member gives the same orbit
         again = orbit(a4_spec, min(o.members))
-        assert again == o
+        assert again.members == o.members
+        # the BFS numbers its forms in the same order as the class, and
+        # its move arrays are the class arrays under that renumbering
+        nums = sorted(o.nums)
+        local = {k: i for i, k in enumerate(nums)}
+        assert list(again.forms) == [o.forms[k] for k in nums]
+        for mine, theirs in zip(again.moves, o.moves):
+            assert list(mine) == [local[theirs[k]] for k in nums]
 
 
-def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms):
+def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms,
+                                          monkeypatch):
     # the escape gate shared by every partition: a set of forms that is
     # not closed under the moves is an internal inconsistency, never a
     # smaller orbit
@@ -113,36 +122,54 @@ def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms):
              for m in braid_moves(a4_spec)]
     with pytest.raises(ConsistencyError, match="escaped the enumeration"):
         partition(forms, moves, "braid orbit escaped the enumeration")
+    # on numbers: a move image missing from the numbering is -1
+    h = a4_spec.group
+    nc = nielsen_class(a4_spec)
+    gone = nc.forms[min(big.nums)]
+    kept = [e for e in nc.forms if e != gone]
+    number = {e: k for k, e in enumerate(kept)}
+    table = form_table(h, kept, number, index_moves(h.tables(), 4))
+    assert any(-1 in m for m in table)
     with pytest.raises(ConsistencyError, match="escaped the enumeration"):
-        braid_orbits(a4_spec, forms)
-    abs_spec = spec_of(A4, ("C+", "C+", "C-", "C-"), "absolute")
-    cmap = absolute_class_map(abs_spec, a4_forms)
-    moved = next(t for t, root in cmap.items() if t != root)
+        partition(range(len(kept)), [m.__getitem__ for m in table],
+                  "braid orbit escaped the enumeration")
+    # an automorphism image missing from the class numbering
+    cmap = absolute_class_map(spec_of(A4, a4_spec.labels, "absolute"))
+    moved = next(k for k, root in enumerate(cmap) if root not in (-1, k))
+    number = dict(nc.number)
+    del number[nc.forms[moved]]
+    monkeypatch.setattr(nielsen, "nielsen_class",
+                        lambda spec, budget: nc._replace(number=number))
     with pytest.raises(ConsistencyError, match="left the enumeration"):
-        absolute_class_map(abs_spec, [t for t in a4_forms if t != moved])
+        absolute_class_map(spec_of(A4, a4_spec.labels, "absolute"))
 
 
 @pytest.mark.parametrize("gspec", [A4, {**A4, "ell": 5}],
                          ids=["a4", "di5"])
 @pytest.mark.parametrize("eq", ["inner", "absolute"])
 def test_move_table_matches_moves(gspec, eq):
-    # each table entry is the canonical image of its move, through the
-    # absolute class map for absolute specs, and the enumerated object
+    # each array entry is the number of the canonical image of its move,
+    # through the absolute class map for absolute specs, and the number
+    # of an enumerated form
     spec = spec_of(gspec, ("C+", "C+", "C-", "C-"), eq)
-    inner_forms = enumerate_tuples(spec.as_inner())
-    cmap = None if eq == "inner" else \
-        absolute_class_map(spec, inner_forms)
+    T = spec.group.tables()
+    nc = nielsen_class(spec.as_inner())
+    cmap = None if eq == "inner" else absolute_class_map(spec)
     orbits = all_orbits(spec)
-    forms = {t: t for o in orbits for t in o.members}
-    assert sorted(forms) == enumerate_tuples(spec)
+    nums = {k for o in orbits for k in o.nums}
+    assert sorted(from_indices(T, nc.forms[k]) for k in nums) == \
+        enumerate_tuples(spec)
     for o in orbits:
+        assert o.forms == nc.forms
         for k, move in enumerate(braid_moves(spec)):
-            for t in o.members:
-                image = inner_canonical(spec, move(t))
+            for n in o.nums:
+                image = inner_canonical(spec, move(from_indices(T,
+                                                                o.forms[n])))
+                image = nc.number[T.indices(image.entries)]
                 if cmap is not None:
                     image = cmap[image]
-                assert o.moves[k][t] == image
-                assert o.moves[k][t] is forms[image]
+                assert o.moves[k][n] == image
+                assert image in nums
 
 
 def test_orbit_rejects_noncanonical_seed(a4_spec, a4_forms):
@@ -190,7 +217,6 @@ def test_braidable_seed_suffices(a4_spec):
             members = sorted(o.members)
             for t in rng.sample(members, 3):
                 sub = orbit(a4_spec, min(o.members))
-                from hurwitz.nielsen import apply_aut
                 assert (apply_aut(a4_spec, a, t) in sub.members) == base
 
 

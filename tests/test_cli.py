@@ -177,6 +177,33 @@ DI5_SPEC = {"group": {"family": "affine2", "ell": 5, "k": 0, "order": 3},
             "equivalence": "inner"}
 
 
+def _affine(ell, order, classes):
+    return {"group": {"family": "affine2", "ell": ell, "k": 0,
+                      "order": order},
+            "classes": classes, "equivalence": "absolute"}
+
+
+@pytest.mark.parametrize("spec_json", [
+    dict(DI5_SPEC, equivalence="absolute"),
+    _affine(7, 2, ["2"] * 4),
+    _affine(7, 3, ["C-"] * 3)], ids=["di5", "serre7", "di7-c3"])
+def test_absolute_lift_is_a_config_error(tmp_path, spec_json):
+    # an absolute component carries one lift value per inner component
+    # above it (DI l=7 with C-^3: six inner orbits with values 1..6 over
+    # one absolute orbit), so no single value is reported
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_json))
+    assert cli.run(["--spec", str(spec_file), "--cmd", "lift",
+                    "--out", str(tmp_path / "lift")]) == cli.EXIT_CONFIG
+    if len(spec_json["classes"]) == 3:
+        # r = 3 has no reduction, so the report runs without its lift
+        out = tmp_path / "report"
+        assert cli.run(["--spec", str(spec_file), "--cmd", "report",
+                        "--out", str(out)]) == cli.EXIT_OK
+        rep = json.loads(read_report(out))
+        assert "lift" not in rep and rep["orbits"]["orbits"]
+
+
 @pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],
                          ids=["a4", "di5"])
 @pytest.mark.parametrize("first", [None, 0], ids=["all", "none"])
@@ -243,7 +270,7 @@ def test_corrupt_cache_falls_back_to_cold_report(tmp_path, a4_file,
 
 
 def test_cold_report_work_counts(tmp_path, a4_file, monkeypatch):
-    from hurwitz import braid, lift
+    from hurwitz import lift, nielsen
 
     calls = {}
 
@@ -255,7 +282,7 @@ def test_cold_report_work_counts(tmp_path, a4_file, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    for mod, name in [(braid, "nielsen_class"),
+    for mod, name in [(nielsen, "nielsen_class"),
                       (cli, "reduce_orbit"), (cli, "orbit_lift_invariant"),
                       (lift, "orbit_lift_invariant")]:
         monkeypatch.setattr(mod, name, counted(mod, name))
@@ -304,28 +331,28 @@ def _enumerate_one_orbit_cache(tmp_path, a4_file):
                                "--cache", cache)[0]
 
 
-@pytest.mark.parametrize("case, enumerations, braid_orbit_calls", [
+@pytest.mark.parametrize("case, enumerations, class_maps", [
     (_cold_report, 1, 1), (_absolute_orbits_cmd, 1, 1),
     (_tower_over_all_orbits, 2, 0), (_enumerate_one_orbit_cache, 1, 0)],
     ids=["cold-report", "absolute-orbits", "tower", "one-orbit-cache"])
 def test_orbit_work_counts(tmp_path, a4_file, monkeypatch, case,
-                           enumerations, braid_orbit_calls):
+                           enumerations, class_maps):
     # each Nielsen class is enumerated into its inner braid orbits, and
-    # its absolute braid orbits computed, once per spec
-    from hurwitz import braid
+    # its absolute class map derived, once per spec
+    from hurwitz import nielsen
 
     act = case(tmp_path, a4_file)
-    calls = {"nielsen_class": 0, "braid_orbits": 0}
+    calls = {"nielsen_class": 0, "absolute_class_map": 0}
     for name in calls:
-        fn = getattr(braid, name)
+        fn = getattr(nielsen, name)
 
         def counted(*args, name=name, fn=fn, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
-        monkeypatch.setattr(braid, name, counted)
+        monkeypatch.setattr(nielsen, name, counted)
     assert act() == cli.EXIT_OK
     assert calls == {"nielsen_class": enumerations,
-                     "braid_orbits": braid_orbit_calls}
+                     "absolute_class_map": class_maps}
 
 
 def test_report_without_numpy(tmp_path, a4_file):

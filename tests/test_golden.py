@@ -22,6 +22,10 @@ def _serre(ell):
             "classes": ["2"] * 4, "equivalence": "inner"}
 
 
+def _absolute(spec):
+    return dict(spec, equivalence="absolute")
+
+
 A4 = _di(2)
 CASES = {
     "report-a4": (A4, "report", "acf4a292e704609d5bb4f0f33625bf2a"
@@ -40,9 +44,24 @@ CASES = {
                        "T": "natural"},
                       "report", "806148547a107a64a2b8edcc0528a406"
                                 "3c3fe4adda28ac08c4ac6b3c978030c7"),
-    "orbits-a4-absolute": (dict(A4, equivalence="absolute"), "orbits",
+    "orbits-a4-absolute": (_absolute(A4), "orbits",
                            "e44e4a75d706f745ae1a51b85d16655c"
                            "733ff0a963f2e3b8e0d6c69faba85e87"),
+    # absolute braid orbits glued from the inner ones (DI l=5: five inner
+    # orbits over two absolute ones, four of them over one; Serre l=7:
+    # six over two)
+    "orbits-di5-absolute": (_absolute(_di(5)), "orbits",
+                            "0faae69537ac71da31041ade6577a12b"
+                            "df45272ffad3940ab80a92fe600bcce4"),
+    "enumerate-di5-absolute": (_absolute(_di(5)), "enumerate",
+                               "e2004d843120ec0372b8a1e6557551e6"
+                               "069ee244b69725c4579d7594e63a4cda"),
+    "orbits-serre7-absolute": (_absolute(_serre(7)), "orbits",
+                               "bcd0a8865d9011b1cdd80daba6818117"
+                               "edd5dd196b6f571d5de08f6feb4ec953"),
+    "enumerate-serre7-absolute": (_absolute(_serre(7)), "enumerate",
+                                  "e536c94cc6cc0eac3c1bebf18555ac2d"
+                                  "5b229c64ec75513728cd265273b54458"),
     "tower-a4": (A4, "tower", "a733bbd98a20f8c3644624ff5728fa06"
                               "ad7cf0312154ec7be11d697eaeeb9ed2"),
     # child class Serre l=3 k=1: 1 337 of its 3 281 product-one forms do

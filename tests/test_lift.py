@@ -4,12 +4,12 @@ import weakref
 
 import pytest
 
-from hurwitz.groups import make_group, ConsistencyError
+from hurwitz.groups import make_group, partition, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                              hm_detect, di_detect, pure_cycle_reduce,
                              enumerate_tuples)
-from hurwitz.braid import (all_orbits, braid_orbits, component_lattice,
-                          q_untwist)
+from hurwitz.braid import (all_orbits, braid_moves, component_lattice,
+                          orbit, q_untwist)
 from hurwitz.lift import (lift_invariant, an_spin, serre_formula, di_formula,
                           serre_tuple, di_triple, orbit_lift_invariant,
                           normalizer_action_on_lift, obstructed, tower_lift,
@@ -298,7 +298,8 @@ def test_a4_tower_both_orbits_lift(a4_spec, a4_orbits):
                          ids=["a4", "serre3"])
 def test_tower_lift_matches_per_orbit_selection(spec):
     # oracle: the child orbits above o are the braid orbits of the
-    # level-(k+1) forms that reduce into o, computed from scratch
+    # level-(k+1) forms that reduce into o, computed from scratch by a
+    # BFS on NielsenTuples
     h = spec.group
     child = NielsenSpec(level_up(h), spec.labels, "inner", spec.T)
     child_forms = enumerate_tuples(child)
@@ -308,11 +309,16 @@ def test_tower_lift_matches_per_orbit_selection(spec):
         labels = tuple(h.class_of(g).label for g in entries)
         return inner_canonical(spec, NielsenTuple(labels, entries))
 
+    moves = [lambda t, m=m: inner_canonical(child, m(t))
+             for m in braid_moves(child)]
     for o in all_orbits(spec):
-        expected = braid_orbits(child, [t for t in child_forms
-                                        if reduce(t) in o.members])
+        expected = partition([t for t in child_forms
+                              if reduce(t) in o.members], moves,
+                             "braid orbit escaped the enumeration")
         got = tower_lift(spec, o)
-        assert [c.members for c in got] == [c.members for c in expected]
+        assert [c.members for c in got] == expected
+        # the same orbit numbered on its own by the BFS
+        assert tower_lift(spec, orbit(spec, o.seed)) == got
 
 
 def test_spec_memo_is_freed_with_the_spec():

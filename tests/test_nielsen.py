@@ -7,8 +7,9 @@ from hurwitz.groups import make_group
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
                              inner_canonical, absolute_canonical, canonical,
                              apply_aut, enumerate_tuples, unpinned_enumerate,
-                             absolute_class_map, cover_genus, hm_detect,
-                             di_detect, pure_cycle_reduce)
+                             absolute_class_map, nielsen_class, from_indices,
+                             cover_genus, hm_detect, di_detect,
+                             pure_cycle_reduce)
 from hurwitz.groups import BudgetExceeded
 
 
@@ -138,14 +139,25 @@ def test_enumerate_budget():
 
 
 def test_absolute_class_map_consistency(a4_spec, a4_forms):
+    # the map is over the numbers of the inner class: -1 off the Nielsen
+    # class, else the least number of the automorphism class
     abs_spec = spec_of(A4, ("C+", "C+", "C-", "C-"), "absolute")
-    cmap = absolute_class_map(abs_spec, a4_forms)
-    for t, root in cmap.items():
+    cmap = absolute_class_map(abs_spec)
+    nc = nielsen_class(a4_spec)
+    T = a4_spec.group.tables()
+
+    def form(k):
+        return from_indices(T, nc.forms[k])
+    assert sorted(map(form, (k for o in nc.orbits for k in o))) == a4_forms
+    for k, root in enumerate(cmap):
+        if form(k) not in a4_forms:
+            assert root == -1
+            continue
         assert cmap[root] == root
-        assert absolute_canonical(abs_spec, t) == min(
-            u for u, r in cmap.items() if r == root)
+        assert absolute_canonical(abs_spec, form(k)) == form(root) == min(
+            form(u) for u, r in enumerate(cmap) if r == root)
     abs_forms = enumerate_tuples(abs_spec)
-    assert sorted(set(cmap.values())) == abs_forms
+    assert sorted(map(form, set(cmap) - {-1})) == abs_forms
 
 
 def test_apply_aut_keeps_nielsen(a4_spec, a4_forms):

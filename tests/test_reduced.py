@@ -31,16 +31,17 @@ def a4_reduced(a4_orbits):
 
 
 def test_qq_is_klein_four(a4_spec, a4_reduced):
-    # the Q'' maps of the move table, over all A4 forms: sh^2 and q1 q3^-1
-    # are commuting involutions
+    # the Q'' maps of the move arrays, over the numbers of all A4 forms:
+    # sh^2 and q1 q3^-1 are commuting involutions
     seen = set()
     for rc in a4_reduced.values():
         sh2, q1q3i = rc.sh2, rc.q1q3i
-        for t in rc.orbit.members:
-            a, b = sh2[t], q1q3i[t]
-            assert sh2[a] == t
-            assert q1q3i[b] == t
+        for k in rc.orbit.nums:
+            a, b = sh2[k], q1q3i[k]
+            assert sh2[a] == k
+            assert q1q3i[b] == k
             assert sh2[b] == q1q3i[a]
+        assert set(sh2) == set(q1q3i) == rc.orbit.nums
         seen |= rc.orbit.members
     assert seen == set(enumerate_tuples(a4_spec))
 
@@ -61,6 +62,7 @@ def test_qq_orbits_partition(a4_reduced):
     for rc in a4_reduced.values():
         total = sum(len(m) for m in rc.qq_orbits.values())
         assert total == rc.orbit.size
+        assert set().union(*rc.qq_orbits.values()) == rc.orbit.nums
         for rep, members in rc.qq_orbits.items():
             assert rep == min(members)
             for t in members:
@@ -69,8 +71,9 @@ def test_qq_orbits_partition(a4_reduced):
 
 def test_gamma_actions_are_bijections(a4_reduced):
     for rc in a4_reduced.values():
+        assert set(rc.reps) <= rc.orbit.nums
         for g in gamma_actions(rc):
-            assert sorted(g.values()) == sorted(rc.reps)
+            assert sorted(g) == sorted(g.values()) == rc.reps
 
 
 def test_a4_cusp_widths(a4_reduced):
@@ -95,7 +98,8 @@ def test_a4_reduced_genus(a4_reduced):
 
 
 def test_width_multiset_seed_invariance(a4_spec, a4_orbits):
-    # rebuild each orbit from a different member; cusp data must agree
+    # rebuild each orbit from a different member, numbered on its own;
+    # cusp data must agree
     for o in a4_orbits:
         other = sorted(o.members)[-1]
         o2 = orbit(a4_spec, min(o.members))
@@ -103,6 +107,8 @@ def test_width_multiset_seed_invariance(a4_spec, a4_orbits):
         rc1, rc2 = reduce_orbit(o), reduce_orbit(o2)
         assert sorted(c.width for c in cusps(rc1)) == \
             sorted(c.width for c in cusps(rc2))
+        assert [(c.u, c.width, c.v, c.f) for c in cusps(rc1)] == \
+            [(c.u, c.width, c.v, c.f) for c in cusps(rc2)]
 
 
 def test_sh_incidence_a4(a4_reduced):

@@ -1,25 +1,31 @@
-"""Finite group families used throughout: element arithmetic, conjugacy
-classes, the generation test (one subgroup closure, which enumeration
-runs once per braid orbit), automorphism data, and the central
-extensions that feed the lift-invariant machinery.
+"""Finite group families used throughout: element arithmetic,
+automorphism data, and the central extensions that feed the
+lift-invariant machinery.
 
 Elements are plain (nested) tuples of ints, so they hash, compare and
-serialize for free; each GroupHandle supplies the operations.  The total
+serialize for free; each family supplies the tuple arithmetic.  The total
 order on elements is the lexicographic order on these tuples -- canonical
 forms downstream depend on it being stable.
 
-The hot loops (enumeration, canonical forms, braid and automorphism
-moves) run on element indices instead: `h.tables()` numbers the elements
-by their position in the sorted `h.elements()`, so index order is tuple
-order, and holds the product and conjugation rows, inverses and class
-labels as plain lists.  Rows are built on first use, each composed from
-a generator's row, so memory tracks the rows a computation touches.
+A group's generic data is derived once, on element indices, by
+`h.tables()`.  It numbers the elements by their position in the sorted
+`h.elements()`, so index order is tuple order.  It picks the greedy
+generators from its own right-multiplication columns, and grows each
+conjugacy class from its least member by one BFS, which also records a
+transporter onto that member.  It holds the product and conjugation
+rows, inverses, class labels and transporters as plain lists; rows are
+built on first use, each composed from a generator's row, so memory
+tracks the rows a computation touches.  `gens`, `classes`, `class_of`,
+`generates` and `center` read it, and the hot loops (enumeration,
+canonical forms, the generation test once per braid orbit, braid and
+automorphism moves) run on its indices.
 
 Every orbit computation runs on three primitives defined here: `closure`
 (BFS set), `partition` (orbits in order of their least member) and
 `cycles` (the cycles of a permutation).
 """
 
+from functools import cache
 from itertools import permutations, product
 import math
 
@@ -84,10 +90,6 @@ def cycles(perm, domain):
     return out
 
 
-def inverse_mod(a, m):
-    return pow(a, -1, m)
-
-
 class ConjClass:
     __slots__ = ("label", "rep", "members", "elem_order")
 
@@ -143,8 +145,6 @@ class GroupHandle(Memo):
         super().__init__()
         self._inv = {}
         self._order_cache = {}
-        self._classes = None
-        self._gens = None
 
     def _check_enumerable(self):
         # element-level operations (elements/classes) only; pointwise
@@ -205,64 +205,20 @@ class GroupHandle(Memo):
 
     def gens(self):
         """A small generating set, found greedily in element order."""
-        if self._gens is None:
-            gens, span = [], {self.identity}
-            for g in self.elements():
-                if g not in span:
-                    gens.append(g)
-                    span = self.subgroup_closure(gens)
-                    if len(span) == self.order:
-                        break
-            self._gens = gens
-        return self._gens
-
-    def subgroup_closure(self, elems, limit=None):
-        seen = {self.identity}
-        seen.update(elems)
-        frontier = list(seen)
-        while frontier:
-            new = []
-            for x in frontier:
-                for g in elems:
-                    y = self.mul(x, g)
-                    if y not in seen:
-                        seen.add(y)
-                        new.append(y)
-                        if limit is not None and len(seen) > limit:
-                            return seen
-            frontier = new
-        return seen
+        T = self.tables()
+        return [T.els[g] for g in T.gens]
 
     def generates(self, elems):
-        # any proper subgroup has order <= |G|/2, so stop early
-        bound = self.order // 2
-        span = self.subgroup_closure(elems, limit=bound)
-        return len(span) > bound
-
-    def class_of(self, g):
-        if not hasattr(self, "_class_index"):
-            self._class_index = {}
-            for cl in self.classes().values():
-                for x in cl.members:
-                    self._class_index[x] = cl
-        return self._class_index[g]
-
-    def _conj_moves(self):
-        return [lambda x, h=h: self.conj(x, h) for h in self.gens()]
-
-    def conj_class(self, g):
-        members = frozenset(closure(g, self._conj_moves()))
-        return ConjClass("?", min(members), members, self.elem_order(g))
+        T = self.tables()
+        return len(closure(T.e, [T.mul[T.index[g]].__getitem__
+                                 for g in elems])) == self.order
 
     def classes(self):
-        if self._classes is None:
-            raw = []
-            for members in partition(self.elements(), self._conj_moves(),
-                                     "conjugacy class escaped the group"):
-                rep = min(members)
-                raw.append(ConjClass("?", rep, members, self.elem_order(rep)))
-            self._classes = self._label_classes(raw)
-        return self._classes
+        return self.tables().classes
+
+    def class_of(self, g):
+        T = self.tables()
+        return T.classes[T.label[T.index[g]]]
 
     def _label_classes(self, raw):
         out = {}
@@ -276,9 +232,7 @@ class GroupHandle(Memo):
         return out
 
     def center(self):
-        gens = self.gens()
-        return [g for g in self.elements()
-                if all(self.mul(g, h) == self.mul(h, g) for h in gens)]
+        return [g for g in self.elements() if len(self.class_of(g)) == 1]
 
     def centralizer(self, g):
         return [h for h in self.elements() if self.mul(g, h) == self.mul(h, g)]
@@ -344,32 +298,43 @@ class _Rows(dict):
 
 
 class ElementTables:
-    """The group arithmetic on element indices, index i standing for
-    `els[i]` of the sorted `h.elements()`: `mul[a][b]` is the index of
-    a b, `conj[c][g]` that of c g c^-1 (rows built on first use),
-    `inv[a]` that of a^-1 and `label[a]` the label of its class."""
+    """The group data on element indices, index i standing for `els[i]`
+    of the sorted `h.elements()`, each derived here once: `mul[a][b]` is
+    the index of a b, `conj[c][g]` that of c g c^-1 (rows built on first
+    use), `inv[a]` that of a^-1, `gens` the greedy generators, `classes`
+    the labelled ConjClasses, `label[a]` the label of a's class and
+    `to_rep[a]` an element t with t a t^-1 the class representative."""
 
     def __init__(self, h):
         self.els = els = h.elements()
         self.index = index = {g: i for i, g in enumerate(els)}
-        gens = h.gens()
         n = len(els)
-        e = index[h.identity]
-        # right[k][x] = x g_k spans the Cayley tree: parent[y] = (x, k)
-        # with y = x g_k, visited in BFS order
-        right = [[index[h.mul(x, g)] for x in els] for g in gens]
-        parent = [None] * n
-        parent[e] = (e, None)
-        tree = [e]
-        for x in tree:
-            for k, col in enumerate(right):
-                y = col[x]
-                if parent[y] is None:
-                    parent[y] = (x, k)
-                    tree.append(y)
-        if len(tree) != n:
-            raise ConsistencyError("generators miss %d elements"
-                                   % (n - len(tree)))
+        self.e = e = index[h.identity]
+
+        def cayley(right):
+            # the BFS tree from e over the columns right[k][x] = x g_k:
+            # parent[y] = (x, k) with y = x g_k, in visiting order
+            parent = [None] * n
+            parent[e] = (e, None)
+            tree = [e]
+            for x in tree:
+                for k, col in enumerate(right):
+                    y = col[x]
+                    if parent[y] is None:
+                        parent[y] = (x, k)
+                        tree.append(y)
+            return parent, tree
+
+        # greedy generators in element order: each one the least element
+        # outside the span of those before it
+        self.gens, right = [], []
+        parent, tree = cayley(right)
+        for g in range(n):
+            if parent[g] is None:
+                self.gens.append(g)
+                right.append([index[h.mul(x, els[g])] for x in els])
+                parent, tree = cayley(right)
+        gens = [els[g] for g in self.gens]
         # (x g)^-1 = g^-1 x^-1
         left_ginv = [[index[h.mul(h.inv(g), b)] for b in els] for g in gens]
         self.inv = inv = [None] * n
@@ -381,12 +346,29 @@ class ElementTables:
                          [[index[h.mul(g, b)] for b in els] for g in gens])
         self.conj = _Rows(e, parent,
                           [[index[h.conj(b, g)] for b in els] for g in gens])
-        self.right = right
-        self.gens = [index[g] for g in gens]
-        self.label = [None] * n
-        for cl in h.classes().values():
-            for g in cl.members:
-                self.label[index[g]] = cl.label
+        # each class grown from its least member by one BFS: with
+        # x = g y g^-1, y's transporter is x's times g
+        moves = [(self.conj[inv[g]], col) for g, col in zip(self.gens, right)]
+        self.to_rep = to_rep = [None] * n
+        number = [None] * n     # element -> its class's place in raw
+        raw = []
+        for rep in range(n):
+            if number[rep] is None:
+                number[rep] = len(raw)
+                to_rep[rep] = e
+                members = [rep]
+                for x in members:
+                    for ginv_conj, col in moves:
+                        y = ginv_conj[x]
+                        if number[y] is None:
+                            number[y] = len(raw)
+                            to_rep[y] = col[to_rep[x]]
+                            members.append(y)
+                raw.append(ConjClass("?", els[rep],
+                                     frozenset(map(els.__getitem__, members)),
+                                     h.elem_order(els[rep])))
+        self.classes = h._label_classes(raw)
+        self.label = [raw[c].label for c in number]
 
     def indices(self, entries):
         return tuple(map(self.index.__getitem__, entries))
@@ -795,12 +777,11 @@ class K22Z3(GroupHandle):
         self.k = k
         self.L = L = ell ** (k + 1)
         if ell == 2:
-            self.carry = (L // 2) * inverse_mod(3, L) % L
+            self.carry = (L // 2) * pow(3, -1, L) % L
         else:
             self.carry = 0
         self.identity = (0, (0, 0, 0))
         self.order = 3 * L ** 3
-        self._alpha_maps = None
         super().__init__()
 
     def _kmul(self, k1, k2):
@@ -812,43 +793,19 @@ class K22Z3(GroupHandle):
             u += self.carry * ((m1 + m2) // L + (n1 + n2) // L)
         return ((m1 + m2) % L, (n1 + n2) % L, u % L)
 
-    def _kinv(self, k1):
-        m, n, u = k1
-        L = self.L
-        mi, ni = (-m) % L, (-n) % L
-        # solve (m,n,u)(mi,ni,ui) = identity for ui
-        ui = -(u + n * mi)
-        if self.carry:
-            ui -= self.carry * ((m + mi) // L + (n + ni) // L)
-        return (mi, ni, ui % L)
-
     def _alpha_k(self, k1, power):
-        """alpha^power on the normal part, via images of x and y."""
-        if self._alpha_maps is None:
-            x, y = (1, 0, 0), (0, 1, 0)
-            xy_inv = self._kinv(self._kmul(x, y))
-            img1 = {"x": y, "y": xy_inv}                       # alpha
-            img2 = {"x": self._apply_imgs(img1, img1["x"]),    # alpha^2
-                    "y": self._apply_imgs(img1, img1["y"])}
-            self._alpha_maps = (img1, img2)
-        if power % 3 == 0:
-            return k1
-        imgs = self._alpha_maps[power % 3 - 1]
-        return self._apply_imgs(imgs, k1)
-
-    def _apply_imgs(self, imgs, k1):
+        """alpha^power on the normal part, alpha in closed form:
+        alpha(x^m y^n w^u) = y^m (xy)^-n w^u, put in standard form."""
+        L, s = self.L, self.carry
         m, n, u = k1
-        out = (0, 0, u)     # w is alpha-fixed
-        xm = self._kpow(imgs["x"], m)
-        yn = self._kpow(imgs["y"], n)
-        return self._kmul(self._kmul(xm, yn), out)
-
-    def _kpow(self, k1, e):
-        assert e >= 0
-        out = (0, 0, 0)
-        for _ in range(e):
-            out = self._kmul(out, k1)
-        return out
+        for _ in range(power % 3):
+            if n:
+                m, n, u = (-n % L, (m - n) % L,
+                           (u + n * (n + 1) // 2 - m * n - 2 * s
+                            + (s if m >= n else 0)) % L)
+            else:
+                m, n = 0, m
+        return (m, n, u)
 
     def mul(self, a, b):
         (c1, k1), (c2, k2) = a, b
@@ -1009,12 +966,16 @@ def central_extension(kind, ell, k):
     if kind == "heis2":
         if ell == 2:
             raise ValueError("heis2 lifts need ell odd (division by 2)")
-        return CentralCover(kind, Heis2(ell, k), Affine2(ell, k, 2), unit=-2)
-    if kind == "k22z3":
+        ext, order, unit = Heis2(ell, k), 2, -2
+    elif kind == "k22z3":
         if ell == 3:
             raise ValueError("k22z3 lifts need ell != 3 (ell' condition)")
-        return CentralCover(kind, K22Z3(ell, k), Affine2(ell, k, 3), unit=-1)
-    raise ValueError("unknown extension tag %r" % kind)
+        ext, order, unit = K22Z3(ell, k), 3, -1
+    else:
+        raise ValueError("unknown extension tag %r" % kind)
+    base = make_group({"family": "affine2", "ell": ell, "k": k,
+                       "order": order})
+    return CentralCover(kind, ext, base, unit)
 
 
 def central_lift(cover, g):
@@ -1024,7 +985,7 @@ def central_lift(cover, g):
         raise ValueError("order %d not coprime to %d" % (d, cover.ext.ell))
     ghat = cover.section(g)
     t = cover.central_part(cover.ext.power(ghat, d))
-    corr = (-t * inverse_mod(d, cover.L)) % cover.L
+    corr = (-t * pow(d, -1, cover.L)) % cover.L
     lift = cover.ext.mul(ghat, cover.central(corr))
     if cover.ext.elem_order(lift) != d or cover.project(lift) != g:
         raise ConsistencyError("same-order lift failed for %r" % (g,))
@@ -1034,9 +995,11 @@ def central_lift(cover, g):
 # ---------------------------------------------------------------------
 # orders of GL2/SL2/PSL2 over Z/N
 
+@cache
 def gl_orders(N):
     """(|GL2|, |SL2|, |PSL2|) over Z/N by CRT + prime-power counting;
-    cross-checked against matrix brute force for N <= 12."""
+    cross-checked against matrix brute force for N <= 12.  Computed once
+    per N."""
     if N < 2:
         raise ValueError("N >= 2 required")
     gl = sl = 1

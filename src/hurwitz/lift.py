@@ -261,7 +261,7 @@ def bcl_data(spec):
     reachable = closure(base, [
         lambda ms, a=a: tuple(sorted(h.class_of(a(h.classes()[lab].rep)).label
                                      for lab in ms))
-        for a in h.aut_gens(spec.labels)])
+        for a in spec.aut_gens()])
     M_abs = [u for u in _units(N) if powered(u) in reachable]
 
     return BCLData(N, M_inn, M_abs, len(M_inn) == len(_units(N)))

@@ -85,48 +85,32 @@ class NielsenSpec(Memo):
 # canonical forms on element indices (see groups.ElementTables)
 
 def _class_data(h, label):
-    """(rep, transporter, centralizer of rep) of the class `label` as
-    element indices; transporter[x] = t with t x t^-1 = rep.  Read
-    through h.memo, so it is built once per group."""
+    """(rep, centralizer of rep) of the class `label` as element indices;
+    the group's one canonizer reads it once per class."""
     T = h.tables()
-    cl = h.classes()[label]
-    rep = T.index[cl.rep]
-    # BFS from rep: with x = g y g^-1, y's transporter is x's times g
-    transporter = {rep: T.index[h.identity]}
-    frontier = [rep]
-    moves = [(T.conj[T.inv[g]], col) for g, col in zip(T.gens, T.right)]
-    while frontier:
-        new = []
-        for x in frontier:
-            tx = transporter[x]
-            for ginv_conj, right in moves:
-                y = ginv_conj[x]
-                if y not in transporter:
-                    transporter[y] = right[tx]
-                    new.append(y)
-        frontier = new
-    if len(transporter) != len(cl.members):
-        raise ConsistencyError("transporter misses class members")
-    return rep, transporter, [T.index[z] for z in h.centralizer(cl.rep)]
+    rep = h.classes()[label].rep
+    return T.index[rep], [T.index[z] for z in h.centralizer(rep)]
 
 
 def canonizer(h):
     """The inner canonical form on index tuples: the minimum over all
     conjugations, found by moving entry 1 onto its class representative
-    and minimizing over that representative's centralizer.  Index order
-    is element order, so this is the minimum of the element tuples too.
-    Read through h.memo: the one canonicalization of the group."""
+    by its transporter `T.to_rep` and minimizing over that
+    representative's centralizer.  Any transporter will do, since they
+    form one coset C(rep) t.  Index order is element order, so this is
+    the minimum of the element tuples too.  Read through h.memo: the one
+    canonicalization of the group."""
     T = h.tables()
-    conj, label = T.conj, T.label
-    data = {}       # label -> (rep, transporter, centralizer rows)
+    conj, label, transporter = T.conj, T.label, T.to_rep
+    data = {}       # label -> (rep, centralizer rows)
 
     def canon(e):
         lab = label[e[0]]
         d = data.get(lab)
         if d is None:
-            rep, transporter, cen = h.memo(_class_data, h, lab)
-            d = data[lab] = (rep, transporter, [conj[z] for z in cen])
-        rep, transporter, cen_rows = d
+            rep, cen = _class_data(h, lab)
+            d = data[lab] = (rep, [conj[z] for z in cen])
+        rep, cen_rows = d
         to_rep = conj[transporter[e[0]]]
         best = base = tuple(map(to_rep.__getitem__, e))
         for row in cen_rows:
@@ -225,14 +209,20 @@ def _orderings(spec, free, budget):
     return orderings
 
 
-def form_table(h, forms, number, maps):
+def form_table(h, forms, number, maps, nums):
     """For each index map in `maps`, an array over the numbers of `forms`
-    (number -> canonical index tuple): the number of the canonical image
-    of each form under the map, or -1 when `number` lacks it, which
-    partition reports as escaped."""
+    (number -> canonical index tuple): at each number in `nums`, the
+    number of the canonical image of its form under the map, or -1 when
+    `number` lacks it, which partition reports as escaped; -1 at the
+    numbers outside `nums`, which are never mapped."""
     canon = h.memo(canonizer, h)
-    return [array("i", [number.get(canon(m(e)), -1) for e in forms])
-            for m in maps]
+    table = []
+    for m in maps:
+        row = array("i", [-1]) * len(forms)
+        for k in nums:
+            row[k] = number.get(canon(m(forms[k])), -1)
+        table.append(row)
+    return table
 
 
 class NielsenClass(NamedTuple):
@@ -272,7 +262,8 @@ def nielsen_class(spec, budget=DEFAULT_BUDGET):
                 found.setdefault(canon((pin,) + combo + (tail,)), ordering)
     forms = sorted(found, key=lambda e: (found[e], e))
     number = {e: k for k, e in enumerate(forms)}
-    moves = form_table(h, forms, number, index_moves(T, spec.r))
+    moves = form_table(h, forms, number, index_moves(T, spec.r),
+                       range(len(forms)))
     orbits = partition(range(len(forms)), [m.__getitem__ for m in moves],
                        "braid orbit escaped the enumeration")
     return NielsenClass(forms, number, moves, [
@@ -303,10 +294,10 @@ def absolute_class_map(spec, budget=DEFAULT_BUDGET):
     nc = spec.memo(nielsen_class, spec.as_inner(), budget)
     perms = [h.memo(_aut_perm, h, a) for a in spec.aut_gens()]
     moves = [lambda e, p=p: tuple(map(p.__getitem__, e)) for p in perms]
-    table = form_table(h, nc.forms, nc.number, moves)
+    nums = [k for o in nc.orbits for k in o]
+    table = form_table(h, nc.forms, nc.number, moves, nums)
     cmap = array("i", [-1]) * len(nc.forms)
-    for o in partition([k for o in nc.orbits for k in o],
-                       [m.__getitem__ for m in table],
+    for o in partition(nums, [m.__getitem__ for m in table],
                        "automorphism orbit left the enumeration"):
         rep = min(o)
         for k in o:

@@ -128,7 +128,8 @@ def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms,
     gone = nc.forms[min(big.nums)]
     kept = [e for e in nc.forms if e != gone]
     number = {e: k for k, e in enumerate(kept)}
-    table = form_table(h, kept, number, index_moves(h.tables(), 4))
+    table = form_table(h, kept, number, index_moves(h.tables(), 4),
+                       range(len(kept)))
     assert any(-1 in m for m in table)
     with pytest.raises(ConsistencyError, match="escaped the enumeration"):
         partition(range(len(kept)), [m.__getitem__ for m in table],

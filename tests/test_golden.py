@@ -44,6 +44,12 @@ CASES = {
                        "T": "natural"},
                       "report", "806148547a107a64a2b8edcc0528a406"
                                 "3c3fe4adda28ac08c4ac6b3c978030c7"),
+    # S4 with T natural: two components, and no lift section (no cover)
+    "report-s4-c3344": ({"group": {"family": "symmetric", "n": 4},
+                         "classes": ["3", "3", "4", "4"],
+                         "equivalence": "inner", "T": "natural"},
+                        "report", "7106fd4ae435c89d629209ab00329f26"
+                                  "7d6e59ab3a817dd6012b7959d1bdbda1"),
     "orbits-a4-absolute": (_absolute(A4), "orbits",
                            "e44e4a75d706f745ae1a51b85d16655c"
                            "733ff0a963f2e3b8e0d6c69faba85e87"),

@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from hurwitz import groups as groups_module
 from hurwitz.groups import (make_group, central_extension, central_lift,
                             gl_orders, cen_in_Sn, ConsistencyError,
-                            _gl_brute)
+                            _gl_brute, _automorphism_maps, _extend_hom)
 
 SPECS = [
     {"family": "affine2", "ell": 2, "k": 0, "order": 3},
@@ -23,6 +24,16 @@ SPECS = [
 @pytest.fixture(scope="module")
 def groups():
     return {tuple(sorted(s.items())): make_group(s) for s in SPECS}
+
+
+def _tuple_span(G, elems):
+    """The subgroup generated by elems, by BFS on the tuple arithmetic."""
+    span, frontier = {G.identity}, [G.identity]
+    while frontier:
+        frontier = [y for y in {G.mul(x, g) for x in frontier for g in elems}
+                    if y not in span]
+        span.update(frontier)
+    return span
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -79,7 +90,7 @@ def test_a4_affine2_class_structure():
 def test_conj_class_matches_brute():
     G = make_group({"family": "dihedral", "m": 9})
     for g in G.elements():
-        fast = set(G.conj_class(g).members)
+        fast = set(G.class_of(g).members)
         brute = {G.conj(g, h) for h in G.elements()}
         assert fast == brute
 
@@ -97,10 +108,28 @@ def test_element_tables_match_tuple_ops(spec):
     for a, g in enumerate(els):
         assert els[T.inv[a]] == G.inv(g)
         assert T.label[a] == G.class_of(g).label
+        # to_rep[a] conjugates a onto its class representative
+        assert T.conj[T.to_rep[a]][a] == T.index[G.class_of(g).rep]
         mul, conj = T.mul[a], T.conj[a]
         for b, x in enumerate(els):
             assert els[mul[b]] == G.mul(g, x)
             assert els[conj[b]] == G.conj(x, g)
+    assert len(_tuple_span(G, G.gens())) == G.order
+
+
+@pytest.mark.parametrize("spec", SPECS)
+def test_generates_matches_tuple_closure(spec):
+    G = make_group(spec)
+    els = G.elements()
+    rng = random.Random(2)
+    samples = [G.gens()] + [rng.sample(els, rng.randint(1, 3))
+                            for _ in range(40)]
+    answers = set()
+    for elems in samples:
+        brute = len(_tuple_span(G, elems)) == G.order
+        assert G.generates(elems) == brute
+        answers.add(brute)
+    assert answers == {True, False}
 
 
 @pytest.mark.parametrize("spec,labels", [
@@ -123,6 +152,31 @@ def test_automorphism_permutations_match(spec, labels):
         assert [T.els[i] for i in perm] == [a(g) for g in T.els]
 
 
+def test_fallback_automorphisms_sl23():
+    # k22z3 l=2 is SL(2,3), which has no built-in automorphism data: the
+    # fallback extends every order- and class-size-preserving choice of
+    # generator images, and finds Aut(SL(2,3)) = S4
+    K = make_group({"family": "k22z3", "ell": 2, "k": 0})
+    els = K.elements()
+    gens = K.gens()
+    maps = _automorphism_maps(K)
+    assert len(maps) == 24
+    assert len({tuple(m[g] for g in els) for m in maps}) == 24
+    for m in maps:
+        assert sorted(m.values()) == els
+        for a in els:
+            for b in gens:
+                assert m[K.mul(a, b)] == K.mul(m[a], m[b])
+    inner = {tuple(K.conj(g, c) for g in els) for c in els}
+    assert len(inner) == 12
+    assert inner <= {tuple(m[g] for g in els) for m in maps}
+    # an assignment that is no homomorphism is refused
+    assert _extend_hom(K, gens, [K.identity] * len(gens)) is None
+    # the outer automorphism swaps the two classes of order-3 elements
+    assert len(K.aut_gens(("3",) * 3)) == 12
+    assert len(K.aut_gens(("3", "3_2", "3", "3_2"))) == 24
+
+
 # ---------------------------------------------------------------------
 # central extensions
 
@@ -131,6 +185,15 @@ def test_k22z3_alpha_order_three():
         K = make_group({"family": "k22z3", "ell": ell, "k": 0})
         for g in K.elements()[: 200]:
             assert K.alpha(K.alpha(K.alpha(g))) == g
+            assert K.alpha(g, 2) == K.alpha(K.alpha(g))
+        # alpha: x -> y -> (xy)^-1, w fixed, and a homomorphism
+        x, y, w = (0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1))
+        assert K.alpha(x) == y
+        assert K.alpha(y) == K.inv(K.mul(x, y))
+        assert K.alpha(w) == w
+        for a in K.elements():
+            for b in (x, y, w):
+                assert K.alpha(K.mul(a, b)) == K.mul(K.alpha(a), K.alpha(b))
 
 
 def test_k22z3_ell2_is_sl23_shape():
@@ -214,6 +277,19 @@ def test_gl_orders_against_brute():
 
 def test_psl2_12_order():
     assert gl_orders(12)[2] == 576
+
+
+def test_gl_orders_runs_its_oracle_once_per_n(monkeypatch):
+    calls = []
+
+    def counted(N):
+        calls.append(N)
+        return _gl_brute(N)
+    monkeypatch.setattr(groups_module, "_gl_brute", counted)
+    gl_orders.cache_clear()
+    for N in (7, 7, 12, 7, 12):
+        gl_orders(N)
+    assert calls == [7, 12]
 
 
 def test_cen_in_sn_dihedral():

@@ -186,6 +186,9 @@ def test_a4_schur_separation(a4_spec):
 
 def test_lift_constant_on_all_orbits():
     for spec in (di_spec(2), serre_spec(3), serre_spec(5)):
+        # the cover is built on the spec's own handle, so the lift memo and
+        # the element orders live on one group
+        assert _cover_for(spec).base is spec.group
         for o in all_orbits(spec):
             orbit_lift_invariant(spec, o)      # raises if not constant
 

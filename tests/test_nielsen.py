@@ -9,7 +9,7 @@ from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
                              apply_aut, enumerate_tuples, unpinned_enumerate,
                              absolute_class_map, nielsen_class, from_indices,
                              cover_genus, hm_detect, di_detect,
-                             pure_cycle_reduce)
+                             pure_cycle_reduce, canonizer, DEFAULT_BUDGET)
 from hurwitz.groups import BudgetExceeded
 
 
@@ -158,6 +158,27 @@ def test_absolute_class_map_consistency(a4_spec, a4_forms):
             form(u) for u, r in enumerate(cmap) if r == root)
     abs_forms = enumerate_tuples(abs_spec)
     assert sorted(map(form, set(cmap) - {-1})) == abs_forms
+
+
+def test_absolute_class_map_canonicalizes_the_nielsen_class(monkeypatch):
+    # only the generating forms are mapped: 193 of the 1 201 product-one
+    # forms of Serre l=7 do not generate, and none of their automorphism
+    # images is canonicalized
+    spec = spec_of({"family": "affine2", "ell": 7, "k": 0, "order": 2},
+                   ("2",) * 4, "absolute")
+    h = spec.group
+    nc = spec.memo(nielsen_class, spec.as_inner(), DEFAULT_BUDGET)
+    generating = sum(map(len, nc.orbits))
+    assert (len(nc.forms), generating) == (1201, 1008)
+    canon = h.memo(canonizer, h)
+    canonicalized = []
+
+    def counted(e):
+        canonicalized.append(e)
+        return canon(e)
+    monkeypatch.setitem(h._memo, (canonizer, (h,)), counted)
+    absolute_class_map(spec)
+    assert len(canonicalized) == generating * len(spec.aut_gens())
 
 
 def test_apply_aut_keeps_nielsen(a4_spec, a4_forms):

@@ -8,8 +8,7 @@ from functools import cached_property
 
 from . import nielsen    # one name per memoized class derivation
 from .groups import ConsistencyError, closure, partition
-from .nielsen import (NielsenTuple, canonical, apply_aut, from_indices,
-                      DEFAULT_BUDGET)
+from .nielsen import NielsenTuple, canonical, apply_aut, from_indices
 
 
 def q_twist(spec, i, t):
@@ -92,26 +91,26 @@ def orbit(spec, seed):
                        for d in table])
 
 
-def _orbits(spec, budget):
+def _orbits(spec):
     """The braid orbits of spec, read through spec.memo.  The twins share
     the numbered inner class: an absolute form carries the number of the
     least inner form of its automorphism class, and the absolute move
     arrays are the inner ones composed with the absolute class map."""
-    nc = spec.memo(nielsen.nielsen_class, spec.as_inner(), budget)
+    nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
     if spec.equivalence == "inner":
         return [BraidOrbit(spec, o, nc.forms, nc.moves) for o in nc.orbits]
-    cmap = spec.memo(nielsen.absolute_class_map, spec, budget)
+    cmap = spec.memo(nielsen.absolute_class_map, spec)
     moves = [array("i", map(cmap.__getitem__, m)) for m in nc.moves]
     return [BraidOrbit(spec, o, nc.forms, moves) for o in
             partition(set(cmap) - {-1}, [m.__getitem__ for m in moves],
                       "braid orbit escaped the enumeration")]
 
 
-def all_orbits(spec, budget=DEFAULT_BUDGET):
+def all_orbits(spec):
     """Partition of enumerate_tuples(spec) into braid orbits, in seed
-    order; computed once per (spec, budget), so the list is shared and
-    not to be changed."""
-    return spec.memo(_orbits, spec, budget)
+    order; computed once per spec, so the list is shared and not to be
+    changed."""
+    return spec.memo(_orbits, spec)
 
 
 def braidable(spec, braid_orbit, a):
@@ -132,14 +131,14 @@ class ComponentLattice:
         return self.v_data[abs_index]["v"]
 
 
-def component_lattice(spec, budget=DEFAULT_BUDGET):
+def component_lattice(spec):
     """Inner orbits, absolute orbits, the covering between them, and the
     verified component count v = (N_T : N^br) per absolute orbit."""
     inner_spec = spec.as_inner()
     abs_spec = spec.as_absolute()
-    inner_orbits = all_orbits(inner_spec, budget)
-    abs_orbits = spec.memo(_orbits, abs_spec, budget)
-    cmap = spec.memo(nielsen.absolute_class_map, abs_spec, budget)
+    inner_orbits = all_orbits(inner_spec)
+    abs_orbits = all_orbits(abs_spec)
+    cmap = spec.memo(nielsen.absolute_class_map, abs_spec)
 
     # each inner orbit lies over one absolute orbit, and merging the inner
     # orbits along cmap reproduces the absolute partition

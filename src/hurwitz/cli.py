@@ -55,7 +55,7 @@ def _cache_data(spec, orbits):
             "orbits": [_to_jsonable(_orbit_rows(o)) for o in orbits]}
 
 
-def load_cached_orbits(cache_dir, spec, budget=DEFAULT_BUDGET):
+def load_cached_orbits(cache_dir, spec):
     """The braid orbits of spec, in seed order, when its cache file holds
     exactly what store_cached_orbits writes for them: the orbits of the
     move table built over the enumerated forms.  None when there is no
@@ -70,7 +70,7 @@ def load_cached_orbits(cache_dir, spec, budget=DEFAULT_BUDGET):
             data = json.load(fh)
     except ValueError:
         return None
-    orbits = all_orbits(spec, budget)
+    orbits = all_orbits(spec)
     return orbits if data == _cache_data(spec, orbits) else None
 
 
@@ -121,24 +121,24 @@ class Component:
                 self.lift_error = e
 
 
-def _components(spec, budget, reduced=True, lift=True):
+def _components(spec, reduced=True, lift=True):
     """One Component per braid orbit, in orbit order."""
-    return [Component(o, reduced, lift) for o in all_orbits(spec, budget)]
+    return [Component(o, reduced, lift) for o in all_orbits(spec)]
 
 
-def cmd_enumerate(spec, budget):
+def cmd_enumerate(spec):
     classes = spec.group.classes()
-    return {"count": sum(o.size for o in all_orbits(spec, budget)),
+    return {"count": sum(o.size for o in all_orbits(spec)),
             "class_sizes": {lab: len(classes[lab].members)
                             for lab in spec.labels}}
 
 
-def cmd_orbits(spec, budget):
+def cmd_orbits(spec):
     out = {"orbits": [{"size": o.size,
                        "seed": [_to_jsonable(o.seed.labels),
                                 _to_jsonable(o.seed.entries)]}
-                      for o in all_orbits(spec, budget)]}
-    lat = component_lattice(spec, budget)
+                      for o in all_orbits(spec)]}
+    lat = component_lattice(spec)
     out["lattice"] = {
         "inner_sizes": [o.size for o in lat.inner_orbits],
         "absolute_sizes": [o.size for o in lat.abs_orbits],
@@ -188,36 +188,34 @@ def _lift_section(spec, comps):
         for c in comps]}
 
 
-def cmd_cusps(spec, budget):
-    return _cusps_section(_components(spec, budget, lift=False))
+def cmd_cusps(spec):
+    return _cusps_section(_components(spec, lift=False))
 
 
-def cmd_genus(spec, budget):
-    return _genus_section(spec, _components(spec, budget, lift=False))
+def cmd_genus(spec):
+    return _genus_section(spec, _components(spec, lift=False))
 
 
-def cmd_shmatrix(spec, budget):
-    return _shmatrix_section(_components(spec, budget, lift=False))
+def cmd_shmatrix(spec):
+    return _shmatrix_section(_components(spec, lift=False))
 
 
-def cmd_lift(spec, budget):
-    return _lift_section(spec, _components(spec, budget, reduced=False))
+def cmd_lift(spec):
+    return _lift_section(spec, _components(spec, reduced=False))
 
 
-def cmd_tower(spec, budget):
+def cmd_tower(spec):
     inner = spec.as_inner()
-
-    def one(o):
-        above = tower_lift(inner, o, budget)
-        return {"size": o.size, "level_up_orbits": [x.size for x in above]}
-    return {"orbits": [one(o) for o in all_orbits(inner, budget)]}
+    return {"orbits": [{"size": o.size, "level_up_orbits":
+                        [x.size for x in tower_lift(inner, o)]}
+                       for o in all_orbits(inner)]}
 
 
-def cmd_report(spec, budget):
+def cmd_report(spec):
     rep = {"spec": spec.to_json()}
-    rep["enumerate"] = cmd_enumerate(spec, budget)
-    rep["orbits"] = cmd_orbits(spec, budget)
-    comps = _components(spec, budget, reduced=spec.r == 4)
+    rep["enumerate"] = cmd_enumerate(spec)
+    rep["orbits"] = cmd_orbits(spec)
+    comps = _components(spec, reduced=spec.r == 4)
     if spec.r == 4:
         rep["cusps"] = _cusps_section(comps)
         rep["genus"] = _genus_section(spec, comps)
@@ -330,18 +328,15 @@ def run(argv=None):
         return EXIT_CONFIG if e.code not in (0, None) else EXIT_OK
     try:
         with open(args.spec) as fh:
-            spec = NielsenSpec.from_json(json.load(fh))
-        if args.budget <= 0:
-            raise ValueError("budget must be positive")
+            spec = NielsenSpec.from_json(json.load(fh), args.budget)
     except (OSError, ValueError, KeyError, TypeError,
             json.JSONDecodeError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
     try:
-        budget = args.budget
-        if args.cache and load_cached_orbits(args.cache, spec, budget) is None:
-            store_cached_orbits(args.cache, spec, all_orbits(spec, budget))
-        report = BUILDERS[args.cmd](spec, budget)
+        if args.cache and load_cached_orbits(args.cache, spec) is None:
+            store_cached_orbits(args.cache, spec, all_orbits(spec))
+        report = BUILDERS[args.cmd](spec)
         emit(report, args.format, args.out, args.cmd)
     except BudgetExceeded as e:
         print("budget exceeded: %s" % e, file=sys.stderr)

@@ -7,7 +7,7 @@ import math
 from .groups import (make_group, central_extension, central_lift,
                      ConsistencyError, closure, cycles)
 from . import nielsen    # one name per memoized class derivation
-from .nielsen import NielsenSpec, NielsenTuple, canonizer, DEFAULT_BUDGET
+from .nielsen import NielsenSpec, NielsenTuple, canonizer
 from .braid import all_orbits
 
 
@@ -157,16 +157,16 @@ def _reduction(child, parent):
             for g in child.tables().els]
 
 
-def _next_level(spec, budget):
+def _next_level(spec):
     """The level-(k+1) spec, its braid orbits, and for each of them the
     set of base form numbers its members reduce to.  Hard gate: each
     child orbit reduces into exactly one base orbit."""
     h = spec.group
     child = level_up(h)
-    child_spec = NielsenSpec(child, spec.labels, "inner", spec.T)
-    base_orbits = all_orbits(spec, budget)
-    kids = all_orbits(child_spec, budget)
-    number = spec.memo(nielsen.nielsen_class, spec.as_inner(), budget).number
+    child_spec = NielsenSpec(child, spec.labels, "inner", spec.T, spec.budget)
+    base_orbits = all_orbits(spec)
+    kids = all_orbits(child_spec)
+    number = spec.memo(nielsen.nielsen_class, spec.as_inner()).number
     red = child.memo(_reduction, child, h)
     canon = h.memo(canonizer, h)
     below = []
@@ -181,7 +181,7 @@ def _next_level(spec, budget):
     return child_spec, kids, below
 
 
-def tower_lift(spec, orbit, budget=DEFAULT_BUDGET):
+def tower_lift(spec, orbit):
     """Braid orbits at level k+1 whose entrywise reductions land in the
     given inner orbit.  Hard gate: each child orbit's lift invariant
     reduces (mod the parent modulus) to the base orbit's value.  Note
@@ -189,9 +189,9 @@ def tower_lift(spec, orbit, budget=DEFAULT_BUDGET):
     invariant: the Schur-multiplier obstruction concerns representation
     covers that these abelian-kernel levels never factor through."""
     h = spec.group
-    child_spec, kids, below = spec.memo(_next_level, spec, budget)
+    child_spec, kids, below = spec.memo(_next_level, spec)
     # the orbit's forms by their numbers in the class, whatever numbered it
-    number = spec.memo(nielsen.nielsen_class, spec.as_inner(), budget).number
+    number = spec.memo(nielsen.nielsen_class, spec.as_inner()).number
     nums = {number.get(orbit.forms[k]) for k in orbit.nums}
     out = [o for o, base in zip(kids, below) if base <= nums]
     if h.family == "affine2":

@@ -23,11 +23,15 @@ class NielsenTuple(NamedTuple):
     entries: tuple
 
 
-class NielsenSpec(Memo):
-    """A Nielsen class: group, class labels, equivalence and coset action
-    T.  Its memo, shared with its twin, holds what is derived from it."""
+DEFAULT_BUDGET = 10 ** 8
 
-    def __init__(self, group, labels, equivalence="inner", T=None):
+
+class NielsenSpec(Memo):
+    """A Nielsen class: group, class labels, equivalence, coset action T,
+    budget.  Its memo, shared with its twin, holds what is derived from it."""
+
+    def __init__(self, group, labels, equivalence="inner", T=None,
+                 budget=DEFAULT_BUDGET):
         super().__init__()
         self._twin = None
         self.group = group
@@ -44,6 +48,9 @@ class NielsenSpec(Memo):
             if lab not in classes:
                 raise ValueError("no class labelled %r in %s (have %s)"
                                  % (lab, group.family, sorted(classes)))
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        self.budget = budget
 
     def as_inner(self):
         return self if self.equivalence == "inner" else self._get_twin()
@@ -55,7 +62,8 @@ class NielsenSpec(Memo):
         """The other equivalence's spec: made once, linked both ways."""
         if self._twin is None:
             other = "absolute" if self.equivalence == "inner" else "inner"
-            self._twin = NielsenSpec(self.group, self.labels, other, self.T)
+            self._twin = NielsenSpec(self.group, self.labels, other, self.T,
+                                     self.budget)
             self._twin._twin = self
             self._twin._memo = self._memo
         return self._twin
@@ -72,9 +80,9 @@ class NielsenSpec(Memo):
                 "equivalence": self.equivalence, "T": self.T}
 
     @classmethod
-    def from_json(cls, d):
+    def from_json(cls, d, budget=DEFAULT_BUDGET):
         return cls(make_group(d["group"]), d["classes"],
-                   d.get("equivalence", "inner"), d.get("T"))
+                   d.get("equivalence", "inner"), d.get("T"), budget)
 
     def __repr__(self):
         return "NielsenSpec(%s, %s, %s)" % (
@@ -183,8 +191,6 @@ def canonical(spec, t):
 # ---------------------------------------------------------------------
 # enumeration
 
-DEFAULT_BUDGET = 10 ** 8
-
 
 def index_moves(T, r):
     """q_1..q_{r-1} and sh on index tuples: q_i is (a, b) -> (a b a^-1, a)
@@ -196,16 +202,16 @@ def index_moves(T, r):
     return [twist(j) for j in range(r - 1)] + [lambda e: e[1:] + e[:1]]
 
 
-def _orderings(spec, free, budget):
-    """The orderings of the class labels, once the raw tuple count, with
-    the classes `free` chosen freely in each ordering, is within budget."""
+def _orderings(spec, free):
+    """The orderings of the class labels, once the raw tuple count (the
+    classes `free` chosen freely in each ordering) is within spec.budget."""
     orderings = sorted(set(permutations(spec.labels)))
     raw = len(orderings)
     for lab in free:
         raw *= len(spec.group.classes()[lab].members)
-    if raw > budget:
+    if raw > spec.budget:
         raise BudgetExceeded("raw tuple count %d exceeds budget %d"
-                             % (raw, budget))
+                             % (raw, spec.budget))
     return orderings
 
 
@@ -232,18 +238,18 @@ class NielsenClass(NamedTuple):
     orbits: list    # the generating braid orbits, frozensets of numbers
 
 
-def nielsen_class(spec, budget=DEFAULT_BUDGET):
+def nielsen_class(spec):
     """The numbered inner NielsenClass of spec.  The canonical forms of the
     product-one tuples are enumerated by pinning the first entry to its
     class representative (every tuple is conjugate to a pinned one) and
     numbered in NielsenTuple order, so an orbit's least number is its
     seed.  A braid move keeps the generated subgroup and a conjugation
     conjugates it, so generation is tested on one form per orbit.  Callers
-    read it through spec.memo with the inner spec, once per (spec, budget)
-    and shared by the twins."""
+    read it through spec.memo with the inner spec, once per spec and
+    shared by the twins."""
     h = spec.group
     classes = h.classes()
-    orderings = _orderings(spec, spec.labels[1:-1], budget)
+    orderings = _orderings(spec, spec.labels[1:-1])
     T = h.tables()
     mul, inv = T.mul, T.inv
     canon = h.memo(canonizer, h)
@@ -271,27 +277,27 @@ def nielsen_class(spec, budget=DEFAULT_BUDGET):
         if h.generates([T.els[i] for i in forms[min(o)]])])
 
 
-def enumerate_tuples(spec, budget=DEFAULT_BUDGET):
+def enumerate_tuples(spec):
     """All canonical representatives of the Nielsen class, sorted: the
     members of the generating braid orbits of nielsen_class, or for an
     absolute spec their images under the absolute class map."""
-    nc = spec.memo(nielsen_class, spec.as_inner(), budget)
+    nc = spec.memo(nielsen_class, spec.as_inner())
     nums = [k for o in nc.orbits for k in o]
     if spec.equivalence == "absolute":
-        cmap = spec.memo(absolute_class_map, spec, budget)
+        cmap = spec.memo(absolute_class_map, spec)
         nums = set(map(cmap.__getitem__, nums))
     T = spec.group.tables()
     return [from_indices(T, nc.forms[k]) for k in sorted(nums)]
 
 
-def absolute_class_map(spec, budget=DEFAULT_BUDGET):
+def absolute_class_map(spec):
     """The absolute class map of the absolute spec, as an array over the
     numbers of its inner class: a generating form's number -> the least
     number of its component under the automorphism generators (its
     absolute form), -1 for the non-generating forms.  Callers read it
-    through spec.memo, once per (spec, budget)."""
+    through spec.memo, once per spec."""
     h = spec.group
-    nc = spec.memo(nielsen_class, spec.as_inner(), budget)
+    nc = spec.memo(nielsen_class, spec.as_inner())
     perms = [h.memo(_aut_perm, h, a) for a in spec.aut_gens()]
     moves = [lambda e, p=p: tuple(map(p.__getitem__, e)) for p in perms]
     nums = [k for o in nc.orbits for k in o]
@@ -305,13 +311,13 @@ def absolute_class_map(spec, budget=DEFAULT_BUDGET):
     return cmap
 
 
-def unpinned_enumerate(spec, budget=DEFAULT_BUDGET):
+def unpinned_enumerate(spec):
     """Oracle: brute enumeration without first-entry pinning (small specs
     only); must agree with enumerate_tuples."""
     h = spec.group
     classes = h.classes()
     forms = set()
-    for ordering in _orderings(spec, spec.labels[:-1], budget):
+    for ordering in _orderings(spec, spec.labels[:-1]):
         cls = [classes[lab] for lab in ordering]
         last = cls[-1].members
         for combo in product(*[sorted(c.members) for c in cls[:-1]]):
@@ -396,7 +402,7 @@ def pure_cycle_reduce(spec):
                 raise ValueError("even cycle of length %d: the pure-cycle "
                                  "closure is S_n, not A_n" % ln)
             new_labels.append(h.class_of(cyc).label)
-    out = NielsenSpec(h, new_labels, spec.equivalence, spec.T)
+    out = NielsenSpec(h, new_labels, spec.equivalence, spec.T, spec.budget)
     if spec.T is not None and cover_genus(out) != cover_genus(spec):
         raise ConsistencyError("pure-cycle reduction changed the genus")
     return out

@@ -20,8 +20,8 @@ from .nielsen import index_moves
 class ReducedClass:
     """Q''-orbit data over one braid orbit (the reduced component), on the
     numbers of its forms.  `sh2` and `q1q3i` are the generators sh^2 and
-    q1 q3^{-1} of Q'' as dicts on the orbit's numbers; `gammas` and
-    `cusps` are derived once, on first use."""
+    q1 q3^{-1} of Q'' as dicts on the orbit's numbers; `gammas`, `cusps`
+    and `fixed_points` are derived once, on first use."""
 
     def __init__(self, spec, orbit, qq_orbits, sh2, q1q3i):
         self.spec = spec
@@ -41,6 +41,12 @@ class ReducedClass:
     @cached_property
     def cusps(self):
         return cusps(self)
+
+    @cached_property
+    def fixed_points(self):
+        """(t0, t1): how many reps gamma_0 and gamma_1 fix."""
+        return tuple(sum(1 for t in self.reps if g[t] == t)
+                     for g in self.gammas[:2])
 
 
 def reduce_orbit(orbit):
@@ -172,8 +178,7 @@ def reduced_genus(rc):
     g0, g1, _ = rc.gammas
     cusp_list = rc.cusps
     d = rc.degree
-    t0 = sum(1 for t in rc.reps if g0[t] == t)
-    t1 = sum(1 for t in rc.reps if g1[t] == t)
+    t0, t1 = rc.fixed_points
     rhs = 2 * (d - t0) / 3 + (d - t1) / 2 + sum(c.width - 1 for c in cusp_list)
     g2 = rhs / 2 + 1 - d
     if g2 != int(g2) or g2 < 0:
@@ -206,21 +211,21 @@ def sh_incidence(rc):
     return M, [c.label for c in cusp_list]
 
 
+def _fine(spec):
+    """fine_inner and fine_abs depend on the group and T only, so
+    moduli_checks reads them through spec.memo, once per spec."""
+    h = spec.group
+    return {"fine_inner": len(h.center()) == 1,
+            "fine_abs": spec.T is not None and cen_in_Sn(h, spec.T) == 1}
+
+
 def moduli_checks(spec, rc):
     """Fine-moduli style report for one reduced component."""
-    h = spec.group
-    g0, g1, _ = rc.gammas
     free_qq = all(len(m) == 4 for m in rc.qq_orbits.values())
-    t0 = sum(1 for t in rc.reps if g0[t] == t)
-    t1 = sum(1 for t in rc.reps if g1[t] == t)
-    report = {
-        "fine_inner": len(h.center()) == 1,
-        "fine_abs": spec.T is not None and cen_in_Sn(h, spec.T) == 1,
-        "bfine": free_qq and t0 == 0 and t1 == 0,
-        "qq_free": free_qq,
-        "elliptic_fixed_points": {"gamma0": t0, "gamma1": t1},
-    }
-    return report
+    t0, t1 = rc.fixed_points
+    return {**spec.memo(_fine, spec), "qq_free": free_qq,
+            "bfine": free_qq and t0 == 0 and t1 == 0,
+            "elliptic_fixed_points": {"gamma0": t0, "gamma1": t1}}
 
 
 def wohlfahrt(rc):

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz import nielsen
-from hurwitz.groups import make_group, partition, ConsistencyError
+from hurwitz.groups import (make_group, partition, ConsistencyError,
+                            BudgetExceeded)
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
                              inner_canonical, enumerate_tuples,
                              absolute_class_map, nielsen_class, form_table,
@@ -140,9 +141,18 @@ def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms,
     number = dict(nc.number)
     del number[nc.forms[moved]]
     monkeypatch.setattr(nielsen, "nielsen_class",
-                        lambda spec, budget: nc._replace(number=number))
+                        lambda spec: nc._replace(number=number))
     with pytest.raises(ConsistencyError, match="left the enumeration"):
         absolute_class_map(spec_of(A4, a4_spec.labels, "absolute"))
+
+
+def test_budget_bounds_the_twin():
+    # the absolute twin is bounded by the budget of the spec it came from
+    spec = NielsenSpec(make_group(A4), ("C+", "C+", "C-", "C-"), budget=3)
+    with pytest.raises(BudgetExceeded):
+        all_orbits(spec.as_absolute())
+    with pytest.raises(BudgetExceeded):
+        component_lattice(spec)
 
 
 @pytest.mark.parametrize("gspec", [A4, {**A4, "ell": 5}],

@@ -137,6 +137,27 @@ def test_tower_command(tmp_path, a4_file):
     assert [len(o["level_up_orbits"]) for o in rep["orbits"]] == [2, 2]
 
 
+def test_tower_child_inherits_the_budget(tmp_path, a4_file):
+    # A4 C+-3^2 has 6 label orderings and two free classes of 4 elements
+    # (raw count 96); its level-1 child has classes of 16 (raw count 1 536)
+    def run(cmd, budget):
+        return cli.run(["--spec", a4_file, "--cmd", cmd, "--budget", budget,
+                        "--out", str(tmp_path / cmd / budget)])
+    assert run("orbits", "1535") == cli.EXIT_OK
+    assert run("tower", "1535") == cli.EXIT_BUDGET
+    assert run("tower", "1536") == cli.EXIT_OK
+
+
+def test_spec_faults_come_before_the_budget(tmp_path, a4_file, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**A4_SPEC, "classes": ["C+", "bogus", "C-"]}))
+    for spec_file, message in ((bad, "no class labelled"),
+                               (a4_file, "budget must be positive")):
+        assert cli.run(["--spec", str(spec_file), "--budget", "0"]) == \
+            cli.EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
 def test_env_overrides(tmp_path, a4_file, monkeypatch):
     monkeypatch.setenv("HURWITZ_BUDGET", "3")
     assert cli.run(["--spec", a4_file]) == cli.EXIT_BUDGET
@@ -170,6 +191,11 @@ def test_spec_hash_stability():
     s1 = NielsenSpec.from_json(A4_SPEC)
     s2 = NielsenSpec.from_json(json.loads(json.dumps(A4_SPEC)))
     assert cli.spec_hash(s1) == cli.spec_hash(s2)
+    # the budget bounds the work, not the answer: it is not hashed
+    for budget in (3, 10 ** 12):
+        s3 = NielsenSpec.from_json(A4_SPEC, budget)
+        assert cli.spec_hash(s3) == cli.spec_hash(s1)
+        assert s3.to_json() == s1.to_json()
 
 
 DI5_SPEC = {"group": {"family": "affine2", "ell": 5, "k": 0, "order": 3},

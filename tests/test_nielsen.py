@@ -133,9 +133,23 @@ def test_pinned_vs_unpinned_oracle(gspec, labels):
 
 
 def test_enumerate_budget():
-    spec = spec_of(A4, ("C+", "C+", "C-", "C-"))
+    spec = NielsenSpec(make_group(A4), ("C+", "C+", "C-", "C-"), budget=3)
     with pytest.raises(BudgetExceeded):
-        enumerate_tuples(spec, budget=3)
+        enumerate_tuples(spec)
+
+
+def test_budget_is_a_spec_field():
+    labels = ("C+", "C+", "C-", "C-")
+    assert spec_of(A4, labels).budget == DEFAULT_BUDGET
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            NielsenSpec(make_group(A4), labels, budget=bad)
+    # the twin and the pure-cycle reduction carry the budget along
+    A6 = make_group({"family": "alternating", "n": 6})
+    derived = [NielsenSpec(make_group(A4), labels, budget=7).as_absolute(),
+               NielsenSpec.from_json(spec_of(A4, labels).to_json(), 7),
+               pure_cycle_reduce(NielsenSpec(A6, ("3.3",) * 3, budget=7))]
+    assert [s.budget for s in derived] == [7] * 3
 
 
 def test_absolute_class_map_consistency(a4_spec, a4_forms):
@@ -167,7 +181,7 @@ def test_absolute_class_map_canonicalizes_the_nielsen_class(monkeypatch):
     spec = spec_of({"family": "affine2", "ell": 7, "k": 0, "order": 2},
                    ("2",) * 4, "absolute")
     h = spec.group
-    nc = spec.memo(nielsen_class, spec.as_inner(), DEFAULT_BUDGET)
+    nc = spec.memo(nielsen_class, spec.as_inner())
     generating = sum(map(len, nc.orbits))
     assert (len(nc.forms), generating) == (1201, 1008)
     canon = h.memo(canonizer, h)

@@ -1,6 +1,7 @@
 import pytest
 
-from hurwitz.groups import make_group
+from hurwitz import cli, reduced
+from hurwitz.groups import make_group, cen_in_Sn
 from hurwitz.nielsen import NielsenSpec, enumerate_tuples
 from hurwitz.braid import all_orbits, orbit
 from hurwitz.reduced import (reduce_orbit, gamma_actions, cusps,
@@ -131,6 +132,24 @@ def test_moduli_checks_a4(a4_spec, a4_reduced):
         assert rep["bfine"] == (rep["qq_free"]
                                 and rep["elliptic_fixed_points"]["gamma0"] == 0
                                 and rep["elliptic_fixed_points"]["gamma1"] == 0)
+        g0, g1, _ = gamma_actions(rc)
+        assert rc.fixed_points == (sum(g0[t] == t for t in rc.reps),
+                                   sum(g1[t] == t for t in rc.reps))
+
+
+def test_fine_moduli_once_per_spec(monkeypatch):
+    # fine_inner and fine_abs depend on the group and T only: one
+    # cen_in_Sn call for the two components of A4
+    calls = []
+
+    def counted(h, T):
+        calls.append(T)
+        return cen_in_Sn(h, T)
+    monkeypatch.setattr(reduced, "cen_in_Sn", counted)
+    spec = spec_of(A4, ("C+", "C+", "C-", "C-"), T="alpha-cosets")
+    rep = cli.cmd_report(spec)
+    assert len(rep["moduli"]) == 2
+    assert calls == ["alpha-cosets"]
 
 
 def test_wohlfahrt_a4(a4_reduced):

@@ -23,6 +23,9 @@ automorphism moves) run on its indices.
 Every orbit computation runs on three primitives defined here: `closure`
 (BFS set), `partition` (orbits in order of their least member) and
 `cycles` (the cycles of a permutation).
+
+`PSL2(N)`, the group PSL_2(Z/N), is internal to the Wohlfahrt congruence
+test in `reduced`; it is not a `make_group` family.
 """
 
 from functools import cache
@@ -531,7 +534,7 @@ class Dihedral(GroupHandle):
         return maps
 
     def aut_gens(self, labels):
-        return self._unit_maps([primitive_root(self.m)])
+        return self._unit_maps(unit_gens(self.m))
 
     def coset_rep_auts(self, labels):
         units = [b for b in range(1, self.m) if math.gcd(b, self.m) == 1]
@@ -543,19 +546,20 @@ class Dihedral(GroupHandle):
         return super().stabilizer(T)
 
 
-def primitive_root(m):
-    """Smallest primitive root mod m (m an odd prime power here)."""
-    phi = sum(1 for b in range(1, m) if math.gcd(b, m) == 1)
-    for g in range(2, m):
-        if math.gcd(g, m) != 1:
-            continue
-        o, x = 1, g % m
-        while x != 1:
-            x = x * g % m
-            o += 1
-        if o == phi:
-            return g
-    raise ValueError("no primitive root mod %d" % m)
+def unit_gens(m):
+    """Generators of (Z/m)^x: the least unit of largest order (the least
+    primitive root, where one exists), then each unit outside the span
+    of those before it."""
+    units = [b for b in range(1, m) if math.gcd(b, m) == 1]
+
+    def span(gens):
+        return closure(1, [lambda x, g=g: x * g % m for g in gens])
+    gens, seen = [], set()
+    for b in [max(units, key=lambda b: len(span([b])))] + units:
+        if b not in seen:
+            gens.append(b)
+            seen = span(gens)
+    return gens
 
 
 # ---------------------------------------------------------------------
@@ -647,7 +651,7 @@ class Affine2(GroupHandle):
 
     def aut_gens(self, labels):
         if self.aut_order == 2:
-            b = primitive_root(self.L) if self.ell != 2 else 1
+            b = unit_gens(self.L)[0] if self.ell != 2 else 1
             mats = [("T1", ((1, 1), (0, 1))), ("T2", ((1, 0), (1, 1))),
                     ("scal%d" % b, ((b, 0), (0, b)))]
             gens = self._vec_maps(mats)
@@ -993,7 +997,37 @@ def central_lift(cover, g):
 
 
 # ---------------------------------------------------------------------
-# orders of GL2/SL2/PSL2 over Z/N
+# PSL2(Z/N), and the orders of GL2/SL2/PSL2 over Z/N
+
+class PSL2(GroupHandle):
+    """PSL_2(Z/N): determinant-1 matrices (a, b, c, d) mod N, each stored
+    as the lesser of M and -M.  Internal to Wohlfahrt's congruence test,
+    so not a make_group family; `elements()` checks its count against
+    gl_orders."""
+
+    def __init__(self, N):
+        self.N = N
+        self.identity = (1, 0, 0, 1)
+        self.order = gl_orders(N)[2]
+        super().__init__()
+
+    def _norm(self, x):
+        a, b, c, d = x
+        N = self.N
+        return min(x, (-a % N, -b % N, -c % N, -d % N))
+
+    def mul(self, x, y):
+        a, b, c, d = x
+        e, f, g, h = y
+        N = self.N
+        return self._norm(((a * e + b * g) % N, (a * f + b * h) % N,
+                           (c * e + d * g) % N, (c * f + d * h) % N))
+
+    def _all_elements(self):
+        N = self.N
+        return {self._norm(x) for x in product(range(N), repeat=4)
+                if (x[0] * x[3] - x[1] * x[2]) % N == 1}
+
 
 @cache
 def gl_orders(N):

@@ -71,10 +71,6 @@ class NielsenSpec(Memo):
     def aut_gens(self):
         return self.group.memo(self.group.aut_gens, self.labels)
 
-    def key(self):
-        return (tuple(sorted(self.group.to_spec().items())), self.labels,
-                self.equivalence, self.T)
-
     def to_json(self):
         return {"group": self.group.to_spec(), "classes": list(self.labels),
                 "equivalence": self.equivalence, "T": self.T}

@@ -3,18 +3,22 @@ Q'' = <sh^2, q1 q3^{-1}>, the j-line branch cycles gamma_0, gamma_1,
 gamma_infty, cusp widths with the middle-product prediction, the reduced
 genus with its Euler-characteristic oracle, sh-incidence matrices,
 moduli checks, and the Wohlfahrt congruence test.  All of it runs on the
-form numbers of a braid orbit, read from its move arrays.
+form numbers of a braid orbit, read from its move arrays, except the
+Sylow step of the congruence test, which runs on the element tables of
+the internal groups.PSL2(N), for |PSL2(Z/N)| up to PSL2_LIMIT.
 
 The width prediction and the genus formula are hard gates: a mismatch
 raises ConsistencyError rather than warning.
 """
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 
-from .groups import (ConsistencyError, gl_orders, cen_in_Sn, closure,
+from .groups import (PSL2, ConsistencyError, gl_orders, cen_in_Sn, closure,
                      partition, cycles)
 from .nielsen import index_moves
+
+PSL2_LIMIT = 2000       # largest |PSL2(Z/N)| the Sylow test builds
 
 
 class ReducedClass:
@@ -262,90 +266,49 @@ def wohlfahrt(rc):
     return out
 
 
-def _psl2_sylow_cusp_type(N, sub, limit=2000):
+@cache
+def _psl2_sylow_cusp_type(N, sub):
     """If every order-`sub` subgroup of PSL2(Z/N) is a Sylow p-subgroup
     (all conjugate, hence one coset action), return the cycle type of
-    T = [[1,1],[0,1]] on the cosets; else None."""
+    T = [[1,1],[0,1]] on the cosets; else None.  Computed once per
+    (N, sub), on the element indices of groups.PSL2(N)."""
     psl = gl_orders(N)[2]
-    if psl > limit:
+    if psl > PSL2_LIMIT or sub < 2:
         return None
     # sub must be the full p-part of psl for a single prime p
-    p, m = None, sub
-    for q in (2, 3, 5, 7, 11, 13):
-        if m % q == 0:
-            if p is not None and p != q:
-                return None
-            p = q
-            while m % q == 0:
-                m //= q
-    if m != 1 or p is None or psl % sub or (psl // sub) % p == 0:
+    p = next(q for q in range(2, sub + 1) if sub % q == 0)
+    m = sub
+    while m % p == 0:
+        m //= p
+    if m != 1 or psl % sub or (psl // sub) % p == 0:
         return None
-
-    I = (1, 0, 0, 1)
-
-    def mul(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return ((a * e + b * g) % N, (a * f + b * h) % N,
-                (c * e + d * g) % N, (c * f + d * h) % N)
-
-    def norm(x):
-        return min(x, tuple((-t) % N for t in x))
-
-    import itertools as it
-    P = sorted({norm((a, b, c, d))
-                for a, b, c, d in it.product(range(N), repeat=4)
-                if (a * d - b * c) % N == 1})
-
-    def order(x):
-        o, y = 1, x
-        while norm(y) != I:
-            y = mul(y, x)
-            o += 1
-        return o
-
-    def inv(x):
-        a, b, c, d = x
-        return (d % N, (-b) % N, (-c) % N, a % N)
-
+    h = PSL2(N)
+    T = h.tables()
+    # the p-elements, whose orders are the divisors of sub, the p-part
+    # of |PSL2|
+    cands = [x for x in range(h.order)
+             if sub % T.classes[T.label[x]].elem_order == 0]
     # grow a Sylow p-subgroup: a proper p-subgroup always has a p-element
     # in its normalizer outside itself
-    H = {I}
-    gens = []
+    H, gens = {T.e}, []
     while len(H) < sub:
-        grew = False
-        for x in P:
-            if x in H:
-                continue
-            ox = order(x)
-            if ox == 1 or ox != p ** _valuation(ox, p):
-                continue
-            # x normalizes H?
-            if all(norm(mul(mul(x, h), inv(x))) in H for h in H):
-                cand = closure(I, [lambda y, g=g: norm(mul(y, g))
-                                   for g in gens + [x]])
-                if len(cand) == p ** _valuation(len(cand), p) \
-                        and len(cand) <= sub:
-                    gens.append(x)
-                    H = cand
-                    grew = True
-                    break
-        if not grew:
-            return None
-    Hf = frozenset(H)
-
-    def coset(x):
-        return min(norm(mul(x, h)) for h in Hf)
-
-    reps = sorted({coset(x) for x in P})
-    T = (1, 1 % N, 0, 1)
-    perm = {r: coset(mul(T, r)) for r in reps}
-    return sorted(len(c) for c in cycles(perm, reps))
-
-
-def _valuation(n, p):
-    v = 0
-    while n % p == 0:
-        n //= p
-        v += 1
-    return v
+        x = next((x for x in cands if x not in H
+                  and all(T.index[h.conj(T.els[g], T.els[x])] in H
+                          for g in gens)), None)
+        if x is None:
+            raise ConsistencyError("no p-element normalizes a proper "
+                                   "p-subgroup of PSL2(Z/%d)" % N)
+        gens.append(x)
+        H = closure(T.e, [T.mul[g].__getitem__ for g in gens])
+    if sub % len(H):
+        raise ConsistencyError("PSL2(Z/%d) p-subgroup of order %d is not "
+                               "in a Sylow subgroup of order %d"
+                               % (N, len(H), sub))
+    # the cosets xH, with x g = (g^-1 x^-1)^-1 for H's generators g
+    right = [lambda x, row=T.mul[T.inv[g]]: T.inv[row[T.inv[x]]]
+             for g in gens]
+    cosets = partition(range(h.order), right, "coset escaped PSL2")
+    coset_of = {x: k for k, c in enumerate(cosets) for x in c}
+    t = T.mul[T.index[(1, 1, 0, 1)]]
+    perm = [coset_of[t[min(c)]] for c in cosets]
+    return sorted(map(len, cycles(perm, range(len(cosets)))))

@@ -52,6 +52,23 @@ def test_report_a4_contents(tmp_path, a4_file):
     assert lifts[0]["hm"] and not lifts[1]["hm"]
 
 
+def test_dihedral_report_with_noncyclic_units(tmp_path):
+    # (Z/15)^x is not cyclic, so the absolute lattice acts through two
+    # unit generators instead of a primitive root
+    spec = tmp_path / "d15.json"
+    spec.write_text(json.dumps({"group": {"family": "dihedral", "m": 15},
+                                "classes": ["2"] * 4,
+                                "equivalence": "inner"}))
+    out = tmp_path / "out"
+    code = cli.run(["--spec", str(spec), "--cmd", "report",
+                    "--out", str(out)])
+    assert code == cli.EXIT_OK
+    lattice = json.loads(read_report(out))["orbits"]["lattice"]
+    assert lattice["inner_sizes"] == [96]
+    assert lattice["absolute_sizes"] == [24]
+    assert lattice["v"] == {"0": 1}
+
+
 def test_deterministic_across_cache(tmp_path, a4_file):
     # without a cache, filling the cache, and reading it back
     cache = tmp_path / "cache"

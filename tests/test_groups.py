@@ -5,8 +5,9 @@ import pytest
 
 from hurwitz import groups as groups_module
 from hurwitz.groups import (make_group, central_extension, central_lift,
-                            gl_orders, cen_in_Sn, ConsistencyError,
-                            _gl_brute, _automorphism_maps, _extend_hom)
+                            gl_orders, cen_in_Sn, ConsistencyError, PSL2,
+                            closure, unit_gens, _gl_brute,
+                            _automorphism_maps, _extend_hom)
 
 SPECS = [
     {"family": "affine2", "ell": 2, "k": 0, "order": 3},
@@ -277,6 +278,22 @@ def test_gl_orders_against_brute():
 
 def test_psl2_12_order():
     assert gl_orders(12)[2] == 576
+
+
+def test_psl2_element_count_matches_gl_orders():
+    # extends the brute-force oracle of gl_orders past N = 12
+    for N in list(range(2, 17)) + [18]:
+        assert len(PSL2(N).elements()) == gl_orders(N)[2]
+
+
+def test_unit_gens():
+    # the least primitive root where one exists, else several units
+    assert unit_gens(9) == [2] and unit_gens(49) == [3]
+    assert unit_gens(15) == [2, 7] and unit_gens(8) == [3, 5]
+    for m in range(2, 100):
+        units = {b for b in range(1, m) if math.gcd(b, m) == 1}
+        gens = unit_gens(m)
+        assert closure(1, [lambda x, g=g: x * g % m for g in gens]) == units
 
 
 def test_gl_orders_runs_its_oracle_once_per_n(monkeypatch):

@@ -45,7 +45,8 @@ def test_spec_validation():
 
 def test_spec_json_roundtrip(a4_spec):
     back = NielsenSpec.from_json(a4_spec.to_json())
-    assert back.key() == a4_spec.key()
+    assert back.to_json() == a4_spec.to_json()
+    assert back.group is a4_spec.group
 
 
 def test_enumerate_a4_count(a4_forms, a4_spec):

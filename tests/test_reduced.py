@@ -1,7 +1,10 @@
+import hashlib
+import json
+
 import pytest
 
 from hurwitz import cli, reduced
-from hurwitz.groups import make_group, cen_in_Sn
+from hurwitz.groups import PSL2, make_group, cen_in_Sn, gl_orders
 from hurwitz.nielsen import NielsenSpec, enumerate_tuples
 from hurwitz.braid import all_orbits, orbit
 from hurwitz.reduced import (reduce_orbit, gamma_actions, cusps,
@@ -176,3 +179,39 @@ def test_wohlfahrt_dihedral_modular_case():
     assert w["widths"] == [1, 1, 5, 5]
     assert w["verdict"] == "inconclusive"
     assert w.get("sylow_cycle_type") == w["widths"]
+
+
+# every (N, d) the Sylow test can reach: |PSL2(Z/N)| <= PSL2_LIMIT and d
+# dividing it, pinned by the digest of the rows [N, d, cycle type or None]
+SYLOW_TABLE_SHA256 = \
+    "66346acd6ad39be65a143576edd24f22d0c8920ba9af460e259631dc6470cde6"
+
+
+def test_psl2_sylow_table_is_pinned():
+    levels = [N for N in range(2, 20)
+              if gl_orders(N)[2] <= reduced.PSL2_LIMIT]
+    assert levels == list(range(2, 17)) + [18]
+    rows = []
+    for N in levels:
+        psl = gl_orders(N)[2]
+        rows += [[N, d, reduced._psl2_sylow_cusp_type(N, psl // d)]
+                 for d in range(1, psl + 1) if psl % d == 0]
+    assert len(rows) == 290
+    assert sum(r[2] is not None for r in rows) == 41
+    digest = hashlib.sha256(
+        json.dumps(rows, separators=(",", ":")).encode()).hexdigest()
+    assert digest == SYLOW_TABLE_SHA256
+
+
+def test_psl2_sylow_test_runs_once_per_level_and_order(monkeypatch):
+    built = []
+
+    class Counted(PSL2):
+        def __init__(self, N):
+            built.append(N)
+            super().__init__(N)
+    monkeypatch.setattr(reduced, "PSL2", Counted)
+    reduced._psl2_sylow_cusp_type.cache_clear()
+    assert reduced._psl2_sylow_cusp_type(12, 64) == [3, 6]
+    assert reduced._psl2_sylow_cusp_type(12, 64) == [3, 6]
+    assert built == [12]

@@ -171,7 +171,10 @@ class GroupHandle(Memo):
         if not hasattr(self, "_elements"):
             self._check_enumerable()
             self._elements = sorted(self._all_elements())
-            assert len(self._elements) == self.order
+            if len(self._elements) != self.order:
+                raise ConsistencyError("%s has %d elements, not its order %d"
+                                       % (self.family, len(self._elements),
+                                          self.order))
         return self._elements
 
     def elem_order(self, g):
@@ -263,12 +266,37 @@ class GroupHandle(Memo):
         raise ValueError("representation %r not available for %s" % (T, self.family))
 
     def coset_action_orbit_count(self, g, T):
-        """Number of <g>-orbits on the cosets of stabilizer(T)."""
-        H = frozenset(self.stabilizer(T))
-        cosets = sorted({min(self.mul(x, h) for h in H)
-                         for x in self.elements()})
-        act ={c: min(self.mul(self.mul(g, c), h) for h in H) for c in cosets}
-        return len(cycles(act, cosets)), len(cosets)
+        """(number of <g>-orbits on the cosets of stabilizer(T), number of
+        cosets); g acts through its one `mul` row."""
+        cosets, coset_of = self.memo(_cosets, self, T)
+        E = self.tables()
+        row = E.mul[E.index[g]]
+        perm = [coset_of[row[min(c)]] for c in cosets]
+        return len(cycles(perm, range(len(cosets)))), len(cosets)
+
+
+def _cosets(h, T):
+    """The cosets xH of H = h.stabilizer(T) on element indices, as the
+    orbits of right multiplication by H's greedy generators, with
+    x g = (g^-1 x^-1)^-1; and the coset number of each element.  Read
+    through h.memo, once per (group, T)."""
+    E = h.tables()
+    H = set(E.indices(h.stabilizer(T)))
+    gens, span = [], {E.e}
+    for x in sorted(H):
+        if x not in span:
+            gens.append(x)
+            span = closure(E.e, [E.mul[g].__getitem__ for g in gens])
+    if span != H:
+        raise ConsistencyError("stabilizer(%r) is not a subgroup" % (T,))
+    right = [lambda x, row=E.mul[E.inv[g]]: E.inv[row[E.inv[x]]]
+             for g in gens]
+    cosets = partition(range(h.order), right, "coset escaped the group")
+    coset_of = [None] * h.order
+    for k, c in enumerate(cosets):
+        for x in c:
+            coset_of[x] = k
+    return cosets, coset_of
 
 
 # ---------------------------------------------------------------------
@@ -595,8 +623,9 @@ class Affine2(GroupHandle):
             self._apow = [I]
             for _ in range(2):
                 self._apow.append(_matmul(A_STAR, self._apow[-1], self.L))
-            assert _matmul(A_STAR, self._apow[2], self.L) == tuple(
-                tuple(x % self.L for x in row) for row in I)
+            if _matmul(A_STAR, self._apow[2], self.L) != tuple(
+                    tuple(x % self.L for x in row) for row in I):
+                raise ConsistencyError("A* does not have order 3")
         super().__init__()
 
     def _act(self, c, v):

@@ -7,7 +7,7 @@ import math
 from .groups import (make_group, central_extension, central_lift,
                      ConsistencyError, closure, cycles)
 from . import nielsen    # one name per memoized class derivation
-from .nielsen import NielsenSpec, NielsenTuple, canonizer
+from .nielsen import NielsenSpec, NielsenTuple, canonizer, transport
 from .braid import all_orbits
 
 
@@ -159,21 +159,27 @@ def _reduction(child, parent):
 
 def _next_level(spec):
     """The level-(k+1) spec, its braid orbits, and for each of them the
-    set of base form numbers its members reduce to.  Hard gate: each
+    set of base form numbers its members reduce to.  The reduction
+    commutes with the braid moves, so it is canonicalized at one form
+    per child orbit and transported over the rest.  Hard gate: each
     child orbit reduces into exactly one base orbit."""
     h = spec.group
     child = level_up(h)
     child_spec = NielsenSpec(child, spec.labels, "inner", spec.T, spec.budget)
     base_orbits = all_orbits(spec)
     kids = all_orbits(child_spec)
-    number = spec.memo(nielsen.nielsen_class, spec.as_inner()).number
+    nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
     red = child.memo(_reduction, child, h)
     canon = h.memo(canonizer, h)
     below = []
     for o in kids:
-        base = frozenset(
-            number.get(canon(tuple(map(red.__getitem__, o.forms[k]))), -1)
-            for k in o.nums)
+        def direct(k):
+            return nc.number.get(
+                canon(tuple(map(red.__getitem__, o.forms[k]))), -1)
+        base = frozenset(transport(
+            o.nums, direct, (o.moves[0], o.moves[-1]),
+            (nc.moves[0], nc.moves[-1]),
+            "child orbit does not reduce into one base orbit").values())
         if not any(base <= b.nums for b in base_orbits):
             raise ConsistencyError("child orbit does not reduce into one "
                                    "base orbit")

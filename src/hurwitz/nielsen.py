@@ -8,6 +8,13 @@ label of `entries[i]`.  Braids permute the labels along with the entries,
 so tuples over a class multiset with repeats keep their position->class
 assignment intact.  Inside the class, a form is its number: its place in
 NielsenTuple order among the canonical index tuples.
+
+The canonical forms are generated directly, least first, with no
+canonicalization.  Canonicalization runs once per form for q_1 and sh
+only; the other twists are compositions of those arrays.  A map that
+commutes with the braid moves (an automorphism, the reduction to the
+tower level below) is canonicalized at one form per braid orbit and
+carried over the rest along the move arrays by `transport`.
 """
 
 from array import array
@@ -90,7 +97,8 @@ class NielsenSpec(Memo):
 
 def _class_data(h, label):
     """(rep, centralizer of rep) of the class `label` as element indices;
-    the group's one canonizer reads it once per class."""
+    the canonizer and the enumeration read it through h.memo, once per
+    class."""
     T = h.tables()
     rep = h.classes()[label].rep
     return T.index[rep], [T.index[z] for z in h.centralizer(rep)]
@@ -112,7 +120,7 @@ def canonizer(h):
         lab = label[e[0]]
         d = data.get(lab)
         if d is None:
-            rep, cen = _class_data(h, lab)
+            rep, cen = h.memo(_class_data, h, lab)
             d = data[lab] = (rep, [conj[z] for z in cen])
         rep, cen_rows = d
         to_rep = conj[transporter[e[0]]]
@@ -211,64 +219,119 @@ def _orderings(spec, free):
     return orderings
 
 
-def form_table(h, forms, number, maps, nums):
+def _orderly_forms(spec):
+    """The inner canonical forms of the product-one tuples, each once and
+    in NielsenTuple order, with no canonicalization.  A canonical form
+    pins its first entry to the class representative and is the least
+    tuple under conjugation by that representative's centralizer C, and
+    a tuple is least iff each entry is least in its orbit under the
+    stabilizer in C of the entries before it (a smaller conjugate would
+    first differ at an entry its conjugator's prefix fixes).  So each
+    middle entry runs over those least members, in order, and once the
+    stabilizer is trivial the rest run free; the last entry is the
+    inverse of the product, which the stabilizer of the rest fixes."""
+    h = spec.group
+    classes = h.classes()
+    T = h.tables()
+    mul, inv, conj, label = T.mul, T.inv, T.conj, T.label
+    forms = []
+    for ordering in _orderings(spec, spec.labels[1:-1]):
+        pin, cen = h.memo(_class_data, h, ordering[0])
+        mids = [sorted(T.indices(classes[lab].members))
+                for lab in ordering[1:-1]]
+        last = ordering[-1]
+
+        def free(head, p, i):
+            # entries i.. of mids with a trivial stabilizer
+            for combo in product(*mids[i:-1]):
+                q = p
+                for g in combo:
+                    q = mul[q][g]
+                row, prefix = mul[q], head + combo
+                for x in mids[-1]:
+                    tail = inv[row[x]]
+                    if label[tail] == last:
+                        forms.append(prefix + (x, tail))
+
+        def extend(head, p, stab, i):
+            # entry i of mids, under the stabilizer rows `stab` of head
+            if i == len(mids):
+                tail = inv[p]
+                if label[tail] == last:
+                    forms.append(head + (tail,))
+            elif not stab:
+                free(head, p, i)
+            else:
+                for x in mids[i]:
+                    if all(row[x] >= x for row in stab):
+                        extend(head + (x,), mul[p][x],
+                               [row for row in stab if row[x] == x], i + 1)
+        # a central element conjugates trivially, so it never prunes
+        extend((pin,), pin, [conj[z] for z in cen
+                             if len(classes[label[z]]) > 1], 0)
+    return forms
+
+
+def form_table(h, forms, number, maps):
     """For each index map in `maps`, an array over the numbers of `forms`
-    (number -> canonical index tuple): at each number in `nums`, the
-    number of the canonical image of its form under the map, or -1 when
-    `number` lacks it, which partition reports as escaped; -1 at the
-    numbers outside `nums`, which are never mapped."""
+    (number -> canonical index tuple): the number of the canonical image
+    of each form under the map, or -1 when `number` lacks it."""
     canon = h.memo(canonizer, h)
-    table = []
-    for m in maps:
-        row = array("i", [-1]) * len(forms)
-        for k in nums:
-            row[k] = number.get(canon(m(forms[k])), -1)
-        table.append(row)
-    return table
+    return [array("i", [number.get(canon(m(e)), -1) for e in forms])
+            for m in maps]
+
+
+def _check_permutation(row, what):
+    """A move array must be a permutation of the numbers: a -1 (an image
+    outside the enumeration) is rejected before any composition reads
+    it, since array[-1] would wrap, and a repeated number means a form
+    duplicated, missing or not canonical."""
+    if -1 in row:
+        raise ConsistencyError("braid orbit escaped the enumeration")
+    if len(set(row)) != len(row):
+        raise ConsistencyError("%s is not a permutation of the enumerated "
+                               "forms" % what)
 
 
 class NielsenClass(NamedTuple):
+    """The numbered inner class of nielsen_class: every product-one form
+    (generating or not) with its number, the braid moves as permutations
+    of the numbers, and the generating braid orbits."""
     forms: list     # number -> canonical index tuple
     number: dict    # canonical index tuple -> number
-    moves: list     # per q_1..q_{r-1} and sh, an array over the numbers
+    moves: list     # per q_1..q_{r-1} and sh, a permutation of the numbers
     orbits: list    # the generating braid orbits, frozensets of numbers
 
 
 def nielsen_class(spec):
     """The numbered inner NielsenClass of spec.  The canonical forms of the
-    product-one tuples are enumerated by pinning the first entry to its
-    class representative (every tuple is conjugate to a pinned one) and
-    numbered in NielsenTuple order, so an orbit's least number is its
-    seed.  A braid move keeps the generated subgroup and a conjugation
-    conjugates it, so generation is tested on one form per orbit.  Callers
-    read it through spec.memo with the inner spec, once per spec and
-    shared by the twins."""
+    product-one tuples come from _orderly_forms, numbered in NielsenTuple
+    order, so an orbit's least number is its seed.  Only q_1 and sh are
+    canonicalized: sh^-1 q_j sh = q_{j+1} on tuples and braid moves
+    commute with conjugation, so q_{j+1}[k] = sh^-1[q_j[sh[k]]] exactly
+    on the numbers.  q_1 and sh generate the Hurwitz monodromy group, so
+    the orbits are theirs.  A braid move keeps the generated subgroup and
+    a conjugation conjugates it, so generation is tested on one form per
+    orbit.  Callers read it through spec.memo with the inner spec, once
+    per spec and shared by the twins."""
     h = spec.group
-    classes = h.classes()
-    orderings = _orderings(spec, spec.labels[1:-1])
     T = h.tables()
-    mul, inv = T.mul, T.inv
-    canon = h.memo(canonizer, h)
-    found = {}      # canonical form -> its labels
-    for ordering in orderings:
-        pin = T.index[classes[ordering[0]].rep]
-        mids = [sorted(T.indices(classes[lab].members))
-                for lab in ordering[1:-1]]
-        last = set(T.indices(classes[ordering[-1]].members))
-        for combo in product(*mids):
-            p = pin
-            for g in combo:
-                p = mul[p][g]
-            tail = inv[p]
-            if tail in last:
-                found.setdefault(canon((pin,) + combo + (tail,)), ordering)
-    forms = sorted(found, key=lambda e: (found[e], e))
+    forms = _orderly_forms(spec)
     number = {e: k for k, e in enumerate(forms)}
-    moves = form_table(h, forms, number, index_moves(T, spec.r),
-                       range(len(forms)))
-    orbits = partition(range(len(forms)), [m.__getitem__ for m in moves],
+    raw = index_moves(T, spec.r)
+    q1, shift = form_table(h, forms, number, [raw[0], raw[-1]])
+    _check_permutation(q1, "q_1")
+    _check_permutation(shift, "sh")
+    unshift = array("i", shift)
+    for k, s in enumerate(shift):
+        unshift[s] = k
+    twists = [q1]
+    for _ in range(spec.r - 2):
+        q = twists[-1]
+        twists.append(array("i", [unshift[q[s]] for s in shift]))
+    orbits = partition(range(len(forms)), [q1.__getitem__, shift.__getitem__],
                        "braid orbit escaped the enumeration")
-    return NielsenClass(forms, number, moves, [
+    return NielsenClass(forms, number, twists + [shift], [
         o for o in orbits
         if h.generates([T.els[i] for i in forms[min(o)]])])
 
@@ -286,18 +349,64 @@ def enumerate_tuples(spec):
     return [from_indices(T, nc.forms[k]) for k in sorted(nums)]
 
 
+def transport(nums, direct, source, target, escaped):
+    """The map `direct` (a number -> the number of its image) on the braid
+    orbit `nums`, for a map that commutes with the braid moves: `direct`
+    at the orbit's least number, carried over the orbit by a BFS along
+    the paired move arrays, img[m[x]] = m'[img[x]] for each (m, m') of
+    zip(source, target), and checked by `direct` once more at the
+    orbit's largest number.  Returns {number: image}.  A negative image
+    raises ConsistencyError with the message `escaped`; so do two paths
+    giving one form different images, a BFS that misses part of `nums`
+    and a failed check."""
+    seed = min(nums)
+    img = {seed: direct(seed)}
+    if img[seed] < 0:
+        raise ConsistencyError(escaped)
+    pairs = list(zip(source, target))
+    frontier = [seed]
+    for x in frontier:
+        for m, m2 in pairs:
+            y, v = m[x], m2[img[x]]
+            if y not in img:
+                img[y] = v
+                frontier.append(y)
+            elif img[y] != v:
+                raise ConsistencyError("transported map does not commute "
+                                       "with the braid moves")
+    check = max(nums)
+    if img.keys() != nums or img[check] != direct(check):
+        raise ConsistencyError("transported map disagrees with its direct "
+                               "canonicalization")
+    return img
+
+
 def absolute_class_map(spec):
     """The absolute class map of the absolute spec, as an array over the
     numbers of its inner class: a generating form's number -> the least
     number of its component under the automorphism generators (its
-    absolute form), -1 for the non-generating forms.  Callers read it
-    through spec.memo, once per spec."""
+    absolute form), -1 for the non-generating forms.  An automorphism
+    commutes with the braid moves, so each generator is canonicalized at
+    one form per inner orbit and transported over the rest.  Callers
+    read it through spec.memo, once per spec."""
     h = spec.group
     nc = spec.memo(nielsen_class, spec.as_inner())
-    perms = [h.memo(_aut_perm, h, a) for a in spec.aut_gens()]
-    moves = [lambda e, p=p: tuple(map(p.__getitem__, e)) for p in perms]
+    canon = h.memo(canonizer, h)
+    moves = (nc.moves[0], nc.moves[-1])
     nums = [k for o in nc.orbits for k in o]
-    table = form_table(h, nc.forms, nc.number, moves, nums)
+    table = []
+    for a in spec.aut_gens():
+        p = h.memo(_aut_perm, h, a)
+
+        def direct(k):
+            return nc.number.get(
+                canon(tuple(map(p.__getitem__, nc.forms[k]))), -1)
+        row = array("i", [-1]) * len(nc.forms)
+        for o in nc.orbits:
+            for k, v in transport(o, direct, moves, moves, "automorphism "
+                                  "orbit left the enumeration").items():
+                row[k] = v
+        table.append(row)
     cmap = array("i", [-1]) * len(nc.forms)
     for o in partition(nums, [m.__getitem__ for m in table],
                        "automorphism orbit left the enumeration"):

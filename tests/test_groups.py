@@ -315,3 +315,64 @@ def test_cen_in_sn_dihedral():
     # centralizer quotient
     assert cen_in_Sn(D, "involution-cosets") == 1
     assert cen_in_Sn(D, "regular") == D.order
+
+
+def test_element_count_off_the_order_is_an_inconsistency(monkeypatch):
+    # the count is checked with a raise, not an assert, so it holds under
+    # python -O as well
+    D = groups_module.Dihedral(5)
+    monkeypatch.setattr(D, "_all_elements", lambda: [(0, 0), (1, 0)])
+    with pytest.raises(ConsistencyError, match="not its order"):
+        D.elements()
+
+
+# ---------------------------------------------------------------------
+# coset actions
+
+COSET_CASES = [
+    ({"family": "alternating", "n": 5}, "regular"),
+    ({"family": "dihedral", "m": 5}, "involution-cosets"),
+    ({"family": "dihedral", "m": 6}, "involution-cosets"),
+    ({"family": "dihedral", "m": 9}, "regular"),
+    ({"family": "affine2", "ell": 3, "k": 0, "order": 2},
+     "involution-cosets"),
+    ({"family": "affine2", "ell": 5, "k": 0, "order": 3}, "alpha-cosets"),
+    ({"family": "affine2", "ell": 2, "k": 1, "order": 3}, "alpha-cosets"),
+    ({"family": "symmetric", "n": 4}, "regular"),
+]
+
+
+@pytest.mark.parametrize("gspec,T", COSET_CASES)
+def test_coset_action_matches_min_over_coset(gspec, T):
+    # oracle: each coset xH as its least member, g acting by tuple
+    # products, for every class representative g
+    G = make_group(gspec)
+    H = G.stabilizer(T)
+    cosets = sorted({min(G.mul(x, y) for y in H) for x in G.elements()})
+    for cl in G.classes().values():
+        g = cl.rep
+        act = {c: min(G.mul(G.mul(g, c), y) for y in H) for c in cosets}
+        assert G.coset_action_orbit_count(g, T) == (
+            len(groups_module.cycles(act, cosets)), len(cosets))
+
+
+def test_cosets_are_built_once_per_group_and_T(monkeypatch):
+    calls = []
+    cosets = groups_module._cosets
+
+    def counted(h, T):
+        calls.append(T)
+        return cosets(h, T)
+    monkeypatch.setattr(groups_module, "_cosets", counted)
+    D = make_group({"family": "dihedral", "m": 7})
+    for lab in ("2", "2", "rot1", "2"):
+        D.coset_action_orbit_count(D.classes()[lab].rep, "involution-cosets")
+    D.coset_action_orbit_count(D.classes()["2"].rep, "regular")
+    assert calls == ["involution-cosets", "regular"]
+
+
+def test_stabilizer_that_is_no_subgroup_is_an_inconsistency(monkeypatch):
+    D = groups_module.Dihedral(5)
+    monkeypatch.setattr(D, "stabilizer", lambda T: [(0, 0), (0, 1)])
+    with pytest.raises(ConsistencyError, match="not a subgroup"):
+        D.coset_action_orbit_count((1, 0), "involution-cosets")

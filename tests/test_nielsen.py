@@ -176,15 +176,17 @@ def test_absolute_class_map_consistency(a4_spec, a4_forms):
 
 
 def test_absolute_class_map_canonicalizes_the_nielsen_class(monkeypatch):
-    # only the generating forms are mapped: 193 of the 1 201 product-one
-    # forms of Serre l=7 do not generate, and none of their automorphism
-    # images is canonicalized
+    # an automorphism commutes with the braid moves, so each generator is
+    # canonicalized twice per generating orbit (its seed, and the check at
+    # its largest number) and transported over the rest; the 193 of the
+    # 1 201 product-one forms of Serre l=7 that do not generate are never
+    # mapped
     spec = spec_of({"family": "affine2", "ell": 7, "k": 0, "order": 2},
                    ("2",) * 4, "absolute")
     h = spec.group
     nc = spec.memo(nielsen_class, spec.as_inner())
     generating = sum(map(len, nc.orbits))
-    assert (len(nc.forms), generating) == (1201, 1008)
+    assert (len(nc.forms), generating, len(nc.orbits)) == (1201, 1008, 6)
     canon = h.memo(canonizer, h)
     canonicalized = []
 
@@ -193,7 +195,8 @@ def test_absolute_class_map_canonicalizes_the_nielsen_class(monkeypatch):
         return canon(e)
     monkeypatch.setitem(h._memo, (canonizer, (h,)), counted)
     absolute_class_map(spec)
-    assert len(canonicalized) == generating * len(spec.aut_gens())
+    assert len(canonicalized) == 2 * len(nc.orbits) * len(spec.aut_gens())
+    assert len(canonicalized) == 36
 
 
 def test_apply_aut_keeps_nielsen(a4_spec, a4_forms):

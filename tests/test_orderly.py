@@ -1,0 +1,196 @@
+"""Oracles for the numbered Nielsen class: the orderly enumeration against
+pinning then canonicalizing every product-one tuple, the derived twists
+q_2..q_{r-1} against their direct form table, and the transported
+absolute class map and tower reduction against per-form
+canonicalization; and the gates of that path."""
+
+from itertools import permutations, product
+
+import pytest
+
+from hurwitz import nielsen
+from hurwitz.groups import make_group, partition, ConsistencyError
+from hurwitz.nielsen import (NielsenSpec, nielsen_class, absolute_class_map,
+                             form_table, index_moves, canonizer, transport)
+from hurwitz.lift import _next_level, _reduction
+
+A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
+DI7 = {"family": "affine2", "ell": 7, "k": 0, "order": 3}
+SERRE7 = {"family": "affine2", "ell": 7, "k": 0, "order": 2}
+SERRE3 = {"family": "affine2", "ell": 3, "k": 0, "order": 2}
+A5 = {"family": "alternating", "n": 5}
+S4 = {"family": "symmetric", "n": 4}
+
+
+def dihedral(m):
+    return {"family": "dihedral", "m": m}
+
+
+# r = 3 to 6.  The stabilizer chain of the enumeration takes more than
+# one step where the pinned entry's centralizer is larger than the
+# cyclic group it generates: a reflection in D_m with m even (order 4,
+# with the central rotation), a double transposition in A5 (order 4), S4
+# (order 8) and A6 (order 8)
+SPECS = {
+    "a4": (A4, ("C+", "C+", "C-", "C-")),
+    "di7": (DI7, ("C+", "C+", "C-", "C-")),
+    "serre3": (SERRE3, ("2",) * 4),
+    "serre7": (SERRE7, ("2",) * 4),
+    "a5-c34": (A5, ("3",) * 4),
+    "a5-c35": (A5, ("3",) * 5),
+    "a5-553": (A5, ("5+", "5-", "3")),
+    "a5-2222": (A5, ("2.2",) * 4),
+    "a6-2234": ({"family": "alternating", "n": 6}, ("2.2", "2.2", "3", "4.2")),
+    "s4-2223": (S4, ("2.2", "2", "2", "3")),
+    "s4-3344": (S4, ("3", "3", "4", "4")),
+    "d15": (dihedral(15), ("2",) * 4),
+    "d9": (dihedral(9), ("2",) * 4),
+    "d8": (dihedral(8), ("2", "2", "2_1", "2_1")),
+    "d6-r5": (dihedral(6), ("2", "2_1", "rot2", "2", "2_1")),
+    "d6-r6": (dihedral(6), ("2",) * 4 + ("2_1",) * 2),
+}
+# the families with a next tower level, with children of a few thousand
+# forms at most
+TOWERS = ["a4", "d15", "d9", "d8", "d6-r5", "serre3"]
+
+
+def spec_of(name, eq="inner"):
+    gspec, labels = SPECS[name]
+    return NielsenSpec(make_group(gspec), labels, eq)
+
+
+def pinned_forms(spec):
+    """Every product-one tuple with its first entry pinned to its class
+    representative, canonicalized, deduplicated and sorted in
+    NielsenTuple order."""
+    h = spec.group
+    T = h.tables()
+    classes = h.classes()
+    canon = h.memo(canonizer, h)
+    found = set()
+    for ordering in set(permutations(spec.labels)):
+        pin = T.index[classes[ordering[0]].rep]
+        mids = [T.indices(classes[lab].members) for lab in ordering[1:-1]]
+        for combo in product(*mids):
+            p = pin
+            for g in combo:
+                p = T.mul[p][g]
+            tail = T.inv[p]
+            if T.label[tail] == ordering[-1]:
+                found.add(canon((pin,) + combo + (tail,)))
+    return sorted(found, key=lambda e: (tuple(map(T.label.__getitem__, e)),
+                                        e))
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_orderly_forms_are_the_pinned_canonical_forms(name):
+    spec = spec_of(name)
+    assert nielsen_class(spec).forms == pinned_forms(spec)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_derived_twists_are_the_direct_form_table(name):
+    spec = spec_of(name)
+    h = spec.group
+    nc = nielsen_class(spec)
+    assert nc.moves == form_table(h, nc.forms, nc.number,
+                                  index_moves(h.tables(), spec.r))
+    assert len(nc.moves) == spec.r
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_transported_class_map_is_the_direct_one(name):
+    spec = spec_of(name, "absolute")
+    h = spec.group
+    nc = nielsen_class(spec.as_inner())
+    canon = h.memo(canonizer, h)
+    moves = (nc.moves[0], nc.moves[-1])
+    table = []
+    for a in spec.aut_gens():
+        perm = nielsen._aut_perm(h, a)
+
+        def direct(k):
+            return nc.number[canon(tuple(map(perm.__getitem__,
+                                             nc.forms[k])))]
+        row = {k: direct(k) for o in nc.orbits for k in o}
+        for o in nc.orbits:
+            assert transport(o, direct, moves, moves, "escaped") == \
+                {k: row[k] for k in o}
+        table.append(row)
+    cmap = [-1] * len(nc.forms)
+    for o in partition([k for o in nc.orbits for k in o],
+                       [row.__getitem__ for row in table], "escaped"):
+        for k in o:
+            cmap[k] = min(o)
+    assert list(absolute_class_map(spec)) == cmap
+
+
+@pytest.mark.parametrize("name", TOWERS)
+def test_transported_tower_reduction_is_the_direct_one(name):
+    spec = spec_of(name)
+    h = spec.group
+    child_spec, kids, below = _next_level(spec)
+    number = nielsen_class(spec).number
+    red = _reduction(child_spec.group, h)
+    canon = h.memo(canonizer, h)
+    assert below == [
+        frozenset(number[canon(tuple(map(red.__getitem__, o.forms[k])))]
+                  for k in o.nums) for o in kids]
+
+
+# ---------------------------------------------------------------------
+# gates
+
+def _class_with(monkeypatch, edit):
+    spec = spec_of("a4")
+    forms = list(nielsen._orderly_forms(spec))
+    monkeypatch.setattr(nielsen, "_orderly_forms", lambda spec: edit(forms))
+    return spec
+
+
+def test_duplicated_form_is_an_inconsistency(monkeypatch):
+    spec = _class_with(monkeypatch, lambda f: f[:5] + f[4:])
+    with pytest.raises(ConsistencyError, match="not a permutation"):
+        nielsen_class(spec)
+
+
+def test_missing_form_is_an_inconsistency(monkeypatch):
+    spec = _class_with(monkeypatch, lambda f: f[:4] + f[5:])
+    with pytest.raises(ConsistencyError, match="escaped the enumeration"):
+        nielsen_class(spec)
+
+
+def test_noncanonical_form_is_an_inconsistency(monkeypatch):
+    # a conjugate of a form in place of the form itself
+    spec = spec_of("a4")
+    h = spec.group
+    T = h.tables()
+    e = nielsen._orderly_forms(spec)[4]
+    row = next(T.conj[z] for z in range(h.order)
+               if tuple(map(T.conj[z].__getitem__, e)) != e)
+    moved = tuple(map(row.__getitem__, e))
+    spec = _class_with(monkeypatch, lambda f: f[:4] + [moved] + f[5:])
+    with pytest.raises(ConsistencyError):
+        nielsen_class(spec)
+
+
+def test_transport_rejects_a_map_off_the_moves():
+    nc = nielsen_class(spec_of("a4"))
+    [o] = [o for o in nc.orbits if len(o) == 18]
+    q1, sh = nc.moves[0], nc.moves[-1]
+    seed = min(o)
+    assert transport(o, int, (q1, sh), (q1, sh), "escaped") == \
+        {k: k for k in o}
+    # sh on the target side of q_1: the identity does not intertwine them
+    with pytest.raises(ConsistencyError, match="does not commute"):
+        transport(o, int, (q1, sh), (sh, sh), "escaped")
+    # right at the seed, wrong at the check
+    with pytest.raises(ConsistencyError, match="disagrees"):
+        transport(o, lambda k: k if k == seed else seed, (q1, sh),
+                  (q1, sh), "escaped")
+    # a -1 image is rejected before any array reads it
+    with pytest.raises(ConsistencyError, match="escaped"):
+        transport(o, lambda k: -1, (q1, sh), (q1, sh), "escaped")
+    # a BFS that cannot cover the orbit
+    with pytest.raises(ConsistencyError, match="disagrees"):
+        transport(o, int, (q1,), (q1,), "escaped")

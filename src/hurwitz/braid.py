@@ -8,7 +8,7 @@ from functools import cached_property
 
 from . import nielsen    # one name per memoized class derivation
 from .groups import ConsistencyError, closure, partition
-from .nielsen import NielsenTuple, canonical, apply_aut, from_indices
+from .nielsen import NielsenTuple, canonical, canonizer, from_indices
 
 
 def q_twist(spec, i, t):
@@ -114,9 +114,17 @@ def all_orbits(spec):
 
 
 def braidable(spec, braid_orbit, a):
-    """Is the automorphism a realizable by a braid on this inner orbit?
-    Testing the seed alone suffices (conjugation commutes with braids)."""
-    return apply_aut(spec, a, braid_orbit.seed) in braid_orbit.members
+    """Is the automorphism a realizable by a braid on this inner orbit of
+    all_orbits(spec)?  Testing the seed alone suffices (conjugation
+    commutes with braids): its image under a, canonicalized and numbered
+    in the class, lies in the orbit or not."""
+    h = spec.group
+    T = h.tables()
+    nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
+    if braid_orbit.forms is not nc.forms:
+        raise ValueError("braidable reads orbits numbered by the class")
+    image = T.indices(a(T.els[x]) for x in nc.forms[min(braid_orbit.nums)])
+    return nc.number.get(h.memo(canonizer, h)(image)) in braid_orbit.nums
 
 
 class ComponentLattice:

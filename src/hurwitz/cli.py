@@ -8,8 +8,7 @@ import os
 import sys
 
 from .groups import ConsistencyError, BudgetExceeded
-from .nielsen import (NielsenSpec, cover_genus, hm_detect, di_detect,
-                      DEFAULT_BUDGET)
+from .nielsen import NielsenSpec, cover_genus, DEFAULT_BUDGET
 from .braid import all_orbits, component_lattice
 from .reduced import (reduce_orbit, reduced_genus, sh_incidence,
                       moduli_checks, wohlfahrt)
@@ -174,6 +173,20 @@ def _shmatrix_section(comps):
     return {"components": rows}
 
 
+def _shapes(orbit):
+    """{"hm", "di"}: whether some member of the orbit has the shape of
+    nielsen.hm_detect, and of nielsen.di_detect with no di_class, read on
+    its index form."""
+    T = orbit.spec.group.tables()
+    inv, label, r = T.inv, T.label, orbit.spec.r
+    forms = [orbit.forms[k] for k in orbit.nums]
+    return {"hm": r % 2 == 0 and any(
+                all(e[i + 1] == inv[e[i]] for i in range(0, r, 2))
+                for e in forms),
+            "di": r == 4 and any(e[0] == e[2] and label[e[1]] == label[e[3]]
+                                 for e in forms)}
+
+
 def _lift_section(spec, comps):
     """Raises the first orbit's lift error, if any orbit has one."""
     for c in comps:
@@ -182,8 +195,7 @@ def _lift_section(spec, comps):
     return {"orbits": [
         {"size": c.orbit.size, "lift": c.lift,
          "obstructed": c.lift != 0,       # as lift.obstructed
-         "hm": any(hm_detect(spec, t) for t in c.orbit.members),
-         "di": any(di_detect(spec, t) for t in c.orbit.members),
+         **_shapes(c.orbit),
          "moduli_degree": lift_moduli_degree(spec.group, c.lift)}
         for c in comps]}
 

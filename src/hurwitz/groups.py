@@ -988,6 +988,10 @@ class CentralCover:
     def central(self, u):
         return (0, (0, 0, u % self.L))
 
+    def offset(self, ghat):
+        """The u with ghat = section(project(ghat)) central(u)."""
+        return ghat[1][2]
+
     def central_part(self, ghat):
         c, k = ghat
         if (c, (k[0], k[1])) != self.base.identity:

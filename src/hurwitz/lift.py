@@ -1,13 +1,13 @@
-"""Lift invariants via explicit central extensions, the closed-form
-cross-checks, the normalizer action on lift values, Modular-Tower
-obstruction and level lifting, and BCL cyclotomic data."""
+"""Lift invariants via explicit central extensions, read off the index
+forms, the normalizer action on lift values, Modular-Tower obstruction
+and level lifting, and BCL cyclotomic data."""
 
 import math
 
 from .groups import (make_group, central_extension, central_lift,
                      ConsistencyError, closure, cycles)
 from . import nielsen    # one name per memoized class derivation
-from .nielsen import NielsenSpec, NielsenTuple, canonizer, transport
+from .nielsen import NielsenSpec, canonizer, transport, from_indices
 from .braid import all_orbits
 
 
@@ -50,60 +50,67 @@ def _omega(p):
     return total % 2
 
 
-def serre_formula(a, a2p, a3p, L):
-    """Closed-form lift value of the involution tuple with translations
-    (0,0), (a,a2'), (a,a3'), (0,a3'-a2')."""
-    return a * (a3p - a2p) % L
-
-
-def di_formula(m2, n2, L):
-    """Closed-form lift value of the r=3 double-identity shape with
-    conjugating vector (m2, n2): the norm form of Z[zeta_3].  Anisotropic
-    unless ell = 1 mod 3, where its isotropic lines are exactly the
-    eigenlines of the order-3 action (non-generating triples)."""
-    return (m2 * m2 + n2 * n2 - m2 * n2) % L
-
-
-def serre_tuple(spec, a, a2p, a3p):
-    """The involution 4-tuple g_{a_sh, a'} in affine2(ell,k,2)."""
-    h = spec.group
-    L = h.L
-    vecs = [(0, 0), (a % L, a2p % L), (a % L, a3p % L),
-            (0, (a3p - a2p) % L)]
-    entries = tuple((1, v) for v in vecs)
-    t = NielsenTuple(("2",) * 4, entries)
-    p = h.identity
-    for g in entries:
-        p = h.mul(p, g)
-    if p != h.identity:
-        raise ConsistencyError("serre tuple lost product-one")
-    return t
-
-
-def di_triple(spec, m2, n2):
-    """The r=3 tuple (alpha^{-1}, v2-conj, v3-conj) in C_- classes with
-    v2 = (m2, n2); v3 = (n2, n2-m2) is forced by product-one."""
-    h = spec.group
-    L = h.L
-    ai = (2, (0, 0))
-    out = [ai]
-    for v in ((m2 % L, n2 % L), (n2 % L, (n2 - m2) % L)):
-        out.append(h.conj(ai, (0, v)))
-    p = h.identity
-    for g in out:
-        p = h.mul(p, g)
-    if p != h.identity:
-        raise ConsistencyError("DI triple lost product-one")
-    return NielsenTuple(("C-",) * 3, tuple(out))
+def _lift_table(h, cov):
+    """The lift on the element indices x of h, read through h.memo: the
+    list of lambda(x), the same-order lift in the cover (for A_n, omega(x)),
+    or None where x has none; and the dict of kappa(x), the central part of
+    section(x^-1) lambda(x), empty for A_n.  The offset identity
+    lambda(x) = section(x) central(offset(lambda(x))) is checked at each
+    element."""
+    T = h.tables()
+    lam, kappa = [], {}
+    for x, g in enumerate(T.els):
+        try:
+            lam.append(_omega(g) if cov == "an_spin"
+                       else central_lift(cov, g))
+        except ValueError:
+            lam.append(None)
+            continue
+        if cov != "an_spin":
+            ghat, mul = lam[x], cov.ext.mul
+            if mul(cov.section(g), cov.central(cov.offset(ghat))) != ghat:
+                raise ConsistencyError("cover offset misreads the lift of "
+                                       "%r" % (g,))
+            kappa[x] = cov.central_part(mul(cov.section(T.els[T.inv[x]]),
+                                            ghat))
+    return lam, kappa
 
 
 def orbit_lift_invariant(spec, orbit):
-    """The lift value of an inner orbit; constancy over all members is a
-    hard gate.  An absolute orbit carries one value per inner orbit above
-    it, so it has none."""
+    """The lift value of an inner orbit, read off its index forms; its
+    constancy over all members is a hard gate.  For A_n it is the sum of
+    omega over the entries.  For a cover, the product
+    lambda(g_1)...lambda(g_{r-1}) lies over g_r^-1, so it is
+    section(g_r^-1) central(u) for its offset u, and the product of all r
+    lifts is central(u + kappa(g_r)).  The product of the first two lifts
+    is memoized, since the first entry is pinned, so a 4-tuple costs one
+    cover multiplication.  An absolute orbit carries one value per inner
+    orbit above it, so it has none."""
     if orbit.spec.equivalence != "inner":
         raise ValueError("the lift invariant is defined on inner orbits")
-    vals = {lift_invariant(spec, t) for t in orbit.members}
+    h = spec.group
+    cov = _cover_for(spec)
+    lam, kappa = h.memo(_lift_table, h, cov)
+    seed = orbit.forms[min(orbit.nums)]
+    # an element's order, and so its lift, is a class function, and every
+    # member has the seed's classes
+    if None in map(lam.__getitem__, seed):
+        lift_invariant(spec, from_indices(h.tables(), seed))   # raises
+        raise ConsistencyError("lift table lacks an entry of %r" % (seed,))
+    forms = map(orbit.forms.__getitem__, orbit.nums)
+    if cov == "an_spin":
+        vals = {sum(map(lam.__getitem__, e)) % 2 for e in forms}
+    else:
+        mul, offset, pairs = cov.ext.mul, cov.offset, {}
+
+        def value(e):
+            p = pairs.get(e[:2])
+            if p is None:
+                p = pairs[e[:2]] = mul(lam[e[0]], lam[e[1]])
+            for x in e[2:-1]:
+                p = mul(p, lam[x])
+            return (offset(p) + kappa[e[-1]]) * cov.unit % cov.L
+        vals = set(map(value, forms))
     if len(vals) != 1:
         raise ConsistencyError("lift invariant not constant on orbit: %s"
                                % sorted(vals))
@@ -209,19 +216,6 @@ def tower_lift(spec, orbit):
                     "child lift invariant %d does not reduce to %d mod %d"
                     % (v, base_val, h.L))
     return out
-
-
-def mt_parity(spec, t):
-    """sum (o(g_i)^2 - 1)/8 mod 2; the ell=2 abelianized-tower test for
-    odd-order tuples."""
-    h = spec.group
-    total = 0
-    for g in t.entries:
-        o = h.elem_order(g)
-        if o % 2 == 0:
-            raise ValueError("even order %d entry" % o)
-        total += (o * o - 1) // 8
-    return total % 2
 
 
 # ---------------------------------------------------------------------

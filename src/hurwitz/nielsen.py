@@ -10,8 +10,9 @@ assignment intact.  Inside the class, a form is its number: its place in
 NielsenTuple order among the canonical index tuples.
 
 The canonical forms are generated directly, least first, with no
-canonicalization.  Canonicalization runs once per form for q_1 and sh
-only; the other twists are compositions of those arrays.  A map that
+canonicalization.  Canonicalization runs once per form, for sh only:
+q_{r-1} keeps each form's canonical head and minimizes over that head's
+stabilizer, and the other twists follow from those two arrays.  A map that
 commutes with the braid moves (an automorphism, the reduction to the
 tower level below) is canonicalized at one form per braid orbit and
 carried over the rest along the move arrays by `transport`.
@@ -96,22 +97,25 @@ class NielsenSpec(Memo):
 # canonical forms on element indices (see groups.ElementTables)
 
 def _class_data(h, label):
-    """(rep, centralizer of rep) of the class `label` as element indices;
-    the canonizer and the enumeration read it through h.memo, once per
-    class."""
+    """(rep, rows) of the class `label`: its representative as an element
+    index, and the conjugation rows of the noncentral elements of that
+    representative's centralizer (the identity and the central elements
+    conjugate trivially).  The canonizer, the enumeration and the last
+    twist read it through h.memo, once per class."""
     T = h.tables()
     rep = h.classes()[label].rep
-    return T.index[rep], [T.index[z] for z in h.centralizer(rep)]
+    return T.index[rep], [T.conj[T.index[z]] for z in h.centralizer(rep)
+                          if len(h.class_of(z)) > 1]
 
 
 def canonizer(h):
     """The inner canonical form on index tuples: the minimum over all
     conjugations, found by moving entry 1 onto its class representative
-    by its transporter `T.to_rep` and minimizing over that
-    representative's centralizer.  Any transporter will do, since they
-    form one coset C(rep) t.  Index order is element order, so this is
-    the minimum of the element tuples too.  Read through h.memo: the one
-    canonicalization of the group."""
+    by its transporter `T.to_rep` and minimizing over the noncentral part
+    of that representative's centralizer.  Any transporter will do, since
+    they form one coset C(rep) t.  Index order is element order, so this
+    is the minimum of the element tuples too.  Read through h.memo: the
+    one canonicalization of the group."""
     T = h.tables()
     conj, label, transporter = T.conj, T.label, T.to_rep
     data = {}       # label -> (rep, centralizer rows)
@@ -120,8 +124,7 @@ def canonizer(h):
         lab = label[e[0]]
         d = data.get(lab)
         if d is None:
-            rep, cen = h.memo(_class_data, h, lab)
-            d = data[lab] = (rep, [conj[z] for z in cen])
+            d = data[lab] = h.memo(_class_data, h, lab)
         rep, cen_rows = d
         to_rep = conj[transporter[e[0]]]
         best = base = tuple(map(to_rep.__getitem__, e))
@@ -233,10 +236,10 @@ def _orderly_forms(spec):
     h = spec.group
     classes = h.classes()
     T = h.tables()
-    mul, inv, conj, label = T.mul, T.inv, T.conj, T.label
+    mul, inv, label = T.mul, T.inv, T.label
     forms = []
     for ordering in _orderings(spec, spec.labels[1:-1]):
-        pin, cen = h.memo(_class_data, h, ordering[0])
+        pin, stab = h.memo(_class_data, h, ordering[0])
         mids = [sorted(T.indices(classes[lab].members))
                 for lab in ordering[1:-1]]
         last = ordering[-1]
@@ -266,9 +269,7 @@ def _orderly_forms(spec):
                     if all(row[x] >= x for row in stab):
                         extend(head + (x,), mul[p][x],
                                [row for row in stab if row[x] == x], i + 1)
-        # a central element conjugates trivially, so it never prunes
-        extend((pin,), pin, [conj[z] for z in cen
-                             if len(classes[label[z]]) > 1], 0)
+        extend((pin,), pin, stab, 0)
     return forms
 
 
@@ -303,33 +304,64 @@ class NielsenClass(NamedTuple):
     orbits: list    # the generating braid orbits, frozensets of numbers
 
 
+def _last_twist(h, forms, number):
+    """q_{r-1} as an array over the numbers of `forms`, with no
+    canonicalization.  The twist keeps a form's head e[:r-2], which is
+    least in its orbit under the centralizer C of the pinned entry (see
+    _orderly_forms).  So the canonical image is the least conjugate under
+    the stabilizer of the head in C, whose rows fix the head and leave the
+    twisted pair to compare.  Those rows are memoized per head; with none,
+    the image is already canonical."""
+    T = h.tables()
+    conj, label = T.conj, T.label
+    stabs = {}
+    out = array("i")
+    for e in forms:
+        head, x = e[:-2], e[-2]
+        rows = stabs.get(head)
+        if rows is None:
+            rows = stabs[head] = [
+                row for row in h.memo(_class_data, h, label[head[0]])[1]
+                if all(row[y] == y for y in head[1:])]
+        best = pair = (conj[x][e[-1]], x)
+        for row in rows:
+            cand = (row[pair[0]], row[x])
+            if cand < best:
+                best = cand
+        out.append(number.get(head + best, -1))
+    return out
+
+
 def nielsen_class(spec):
     """The numbered inner NielsenClass of spec.  The canonical forms of the
     product-one tuples come from _orderly_forms, numbered in NielsenTuple
-    order, so an orbit's least number is its seed.  Only q_1 and sh are
-    canonicalized: sh^-1 q_j sh = q_{j+1} on tuples and braid moves
-    commute with conjugation, so q_{j+1}[k] = sh^-1[q_j[sh[k]]] exactly
-    on the numbers.  q_1 and sh generate the Hurwitz monodromy group, so
-    the orbits are theirs.  A braid move keeps the generated subgroup and
-    a conjugation conjugates it, so generation is tested on one form per
-    orbit.  Callers read it through spec.memo with the inner spec, once
-    per spec and shared by the twins."""
+    order, so an orbit's least number is its seed.  Only sh is
+    canonicalized; q_{r-1} keeps the canonical head of each form and is
+    read off _last_twist.  sh q_{j+1} sh^-1 = q_j on tuples and braid
+    moves commute with conjugation, so the other twists follow downward,
+    q_j[k] = sh[q_{j+1}[sh^-1[k]]], exactly on the numbers.  q_{r-1} and
+    sh generate the Hurwitz monodromy group, so the orbits are theirs.  A
+    braid move keeps the generated subgroup and a conjugation conjugates
+    it, so generation is tested on one form per orbit.  Callers read it
+    through spec.memo with the inner spec, once per spec and shared by
+    the twins."""
     h = spec.group
     T = h.tables()
     forms = _orderly_forms(spec)
     number = {e: k for k, e in enumerate(forms)}
-    raw = index_moves(T, spec.r)
-    q1, shift = form_table(h, forms, number, [raw[0], raw[-1]])
-    _check_permutation(q1, "q_1")
+    [shift] = form_table(h, forms, number, index_moves(T, spec.r)[-1:])
+    last = _last_twist(h, forms, number)
+    _check_permutation(last, "q_%d" % (spec.r - 1))
     _check_permutation(shift, "sh")
     unshift = array("i", shift)
     for k, s in enumerate(shift):
         unshift[s] = k
-    twists = [q1]
+    twists = [last]
     for _ in range(spec.r - 2):
-        q = twists[-1]
-        twists.append(array("i", [unshift[q[s]] for s in shift]))
-    orbits = partition(range(len(forms)), [q1.__getitem__, shift.__getitem__],
+        q = twists[0]
+        twists.insert(0, array("i", [shift[q[u]] for u in unshift]))
+    orbits = partition(range(len(forms)),
+                       [last.__getitem__, shift.__getitem__],
                        "braid orbit escaped the enumeration")
     return NielsenClass(forms, number, twists + [shift], [
         o for o in orbits

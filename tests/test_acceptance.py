@@ -14,10 +14,10 @@ from hurwitz.nielsen import (NielsenSpec, enumerate_tuples, cover_genus,
                              hm_detect, di_detect, from_indices)
 from hurwitz.braid import all_orbits, component_lattice
 from hurwitz.reduced import reduce_orbit, cusps, reduced_genus, wohlfahrt
-from hurwitz.lift import (lift_invariant, serre_formula, serre_tuple,
-                          di_formula, di_triple, orbit_lift_invariant,
+from hurwitz.lift import (lift_invariant, orbit_lift_invariant,
                           normalizer_action_on_lift, obstructed, tower_lift,
                           an_spin)
+from oracles import serre_formula, serre_tuple, di_formula, di_triple
 
 
 def spec_of(gspec, labels, eq="inner", T=None):

@@ -8,7 +8,7 @@ import pytest
 
 from hurwitz import cli
 from hurwitz.groups import GroupHandle, make_group
-from hurwitz.nielsen import NielsenSpec
+from hurwitz.nielsen import NielsenSpec, hm_detect, di_detect
 from hurwitz.braid import all_orbits
 
 A4_SPEC = {"group": {"family": "affine2", "ell": 2, "k": 0, "order": 3},
@@ -430,3 +430,37 @@ def test_commands_match_report_sections(tmp_path, spec_json):
     report = sections.pop("report")
     for cmd, section in sections.items():
         assert section == report[cmd], cmd
+
+
+@pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],
+                         ids=["a4", "di5"])
+def test_report_builds_no_members(spec_json):
+    # a report without --cache reads every orbit off its index forms
+    spec = NielsenSpec.from_json(spec_json)
+    cli.cmd_report(spec)
+    for s in (spec, spec.as_absolute()):
+        for o in all_orbits(s):
+            assert "members" not in vars(o)
+
+
+def _alt5(labels):
+    return {"group": {"family": "alternating", "n": 5}, "classes": labels,
+            "equivalence": "inner", "T": "natural"}
+
+
+@pytest.mark.parametrize("spec_json", [
+    A4_SPEC, DI5_SPEC,
+    {**DI5_SPEC, "group": {**DI5_SPEC["group"], "ell": 7}},
+    {"group": {"family": "affine2", "ell": 7, "k": 0, "order": 2},
+     "classes": ["2"] * 4, "equivalence": "inner"},
+    {"group": {"family": "dihedral", "m": 49}, "classes": ["2"] * 4,
+     "equivalence": "inner"},
+    _alt5(["3"] * 4), _alt5(["3"] * 5), _alt5(["5+", "5-", "3"])],
+    ids=["a4", "di5", "di7", "serre7", "dih49", "a5-c34", "a5-c35",
+         "a5-553"])
+def test_index_form_shapes_are_the_tuple_shapes(spec_json):
+    spec = NielsenSpec.from_json(spec_json)
+    for o in all_orbits(spec):
+        assert cli._shapes(o) == {
+            "hm": any(hm_detect(spec, t) for t in o.members),
+            "di": any(di_detect(spec, t) for t in o.members)}

@@ -7,14 +7,15 @@ import pytest
 from hurwitz.groups import make_group, partition, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                              hm_detect, di_detect, pure_cycle_reduce,
-                             enumerate_tuples)
-from hurwitz.braid import (all_orbits, braid_moves, component_lattice,
-                          orbit, q_untwist)
-from hurwitz.lift import (lift_invariant, an_spin, serre_formula, di_formula,
-                          serre_tuple, di_triple, orbit_lift_invariant,
+                             enumerate_tuples, cover_genus, from_indices)
+from hurwitz.braid import (BraidOrbit, all_orbits, braid_moves,
+                          component_lattice, orbit, q_untwist)
+from hurwitz.lift import (lift_invariant, an_spin, orbit_lift_invariant,
                           normalizer_action_on_lift, obstructed, tower_lift,
-                          level_up, reduce_elem, mt_parity, bcl_data,
-                          component_moduli_degree, _cover_for)
+                          level_up, reduce_elem, bcl_data,
+                          component_moduli_degree, _cover_for, _lift_table)
+from oracles import (serre_formula, di_formula, serre_tuple, di_triple,
+                     mt_parity)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 A5 = {"family": "alternating", "n": 5}
@@ -191,6 +192,67 @@ def test_lift_constant_on_all_orbits():
         assert _cover_for(spec).base is spec.group
         for o in all_orbits(spec):
             orbit_lift_invariant(spec, o)      # raises if not constant
+
+
+# the r = 4 ladder of the report benchmark, and the children of the
+# tower specs of tests/test_orderly.py that have a cover
+LADDER = {
+    "a4": lambda: di_spec(2),
+    "a5": lambda: spec_of(A5, ("3",) * 4, T="natural"),
+    "serre7": lambda: serre_spec(7),
+    "di5": lambda: di_spec(5),
+    "di7": lambda: di_spec(7),
+    "a4-child": lambda: di_spec(2, 1),
+    "serre3-child": lambda: serre_spec(3, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER))
+def test_index_form_lift_is_the_tuple_lift(name):
+    # each member read as a one-form orbit off the index-form tables,
+    # against the per-tuple product of same-order lifts
+    spec = LADDER[name]()
+    T = spec.group.tables()
+    for o in all_orbits(spec):
+        for k in o.nums:
+            one = BraidOrbit(spec, [k], o.forms, o.moves)
+            assert orbit_lift_invariant(spec, one) == \
+                lift_invariant(spec, from_indices(T, o.forms[k]))
+
+
+@pytest.mark.parametrize("name, table", [("a4", 1), ("a5", 0)],
+                         ids=["kappa", "omega"])
+def test_doctored_lift_entry_is_an_inconsistency(name, table):
+    # a wrong kappa (or omega) at the last entry of a member that the seed
+    # does not share makes that member's value differ from the seed's
+    spec = LADDER[name]()
+    h = spec.group
+    o = max(all_orbits(spec), key=lambda o: o.size)
+    seed = o.forms[min(o.nums)]
+    x = next(o.forms[k][-1] for k in sorted(o.nums)
+             if o.forms[k][-1] not in seed)
+    entries = h.memo(_lift_table, h, _cover_for(spec))[table]
+    good = entries[x]
+    entries[x] = good + 1
+    try:
+        with pytest.raises(ConsistencyError, match="not constant"):
+            orbit_lift_invariant(spec, o)
+    finally:
+        entries[x] = good
+    assert orbit_lift_invariant(spec, o) in (0, 1)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 1: the A_n lift uses Serre's genus-0 formula, so on this "
+    "genus-1 class both orbits read 1"))
+def test_a5_c35_orbits_have_different_lifts():
+    # Fried (Israel J. Math. 179 (2010)): H(A_n, C_{3^r}) has two
+    # components for r >= n, which the lift invariant tells apart
+    spec = spec_of(A5, ("3",) * 5, T="natural")
+    assert cover_genus(spec) == 1
+    orbs = all_orbits(spec)
+    assert sorted(o.size for o in orbs) == [252, 432]
+    assert len({orbit_lift_invariant(spec, o) for o in orbs}) == 2
 
 
 # ---------------------------------------------------------------------

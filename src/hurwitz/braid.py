@@ -8,7 +8,8 @@ from functools import cached_property
 
 from . import nielsen    # one name per memoized class derivation
 from .groups import ConsistencyError, closure, partition
-from .nielsen import NielsenTuple, canonical, canonizer, from_indices
+from .nielsen import (NielsenTuple, Forms, Moves, canonical, canonizer,
+                      from_indices)
 
 
 def q_twist(spec, i, t):
@@ -50,7 +51,7 @@ def braid_moves(spec):
 
 class BraidOrbit:
     """One braid orbit: `nums`, the numbers of its forms; `forms`, the
-    canonical index tuple of each number; and `moves`, for each map of
+    nielsen.Forms of their numbering; and `moves`, for each map of
     braid_moves(spec), an array from each number (at least each of
     `nums`) to the number its move lands on.  The orbits of one class
     share `forms` and `moves`.  The NielsenTuples `members` are built on
@@ -67,7 +68,8 @@ class BraidOrbit:
     @cached_property
     def members(self):
         T = self.spec.group.tables()
-        return frozenset(from_indices(T, self.forms[k]) for k in self.nums)
+        return frozenset(from_indices(T, e)
+                         for e in self.forms.rows(self.nums))
 
     def __repr__(self):
         return "BraidOrbit(size=%d, seed=%s)" % (self.size, (self.seed,))
@@ -85,8 +87,8 @@ def orbit(spec, seed):
     members = sorted(closure(seed, moves))
     number = {t: k for k, t in enumerate(members)}
     T = spec.group.tables()
-    return BraidOrbit(spec, range(len(members)),
-                      [T.indices(t.entries) for t in members],
+    forms = Forms(T, spec.r, (T.indices(t.entries) for t in members))
+    return BraidOrbit(spec, range(len(members)), forms,
                       [array("i", [number[d[t]] for t in members])
                        for d in table])
 
@@ -95,14 +97,16 @@ def _orbits(spec):
     """The braid orbits of spec, read through spec.memo.  The twins share
     the numbered inner class: an absolute form carries the number of the
     least inner form of its automorphism class, and the absolute move
-    arrays are the inner ones composed with the absolute class map."""
+    arrays are the inner ones composed with the absolute class map, each
+    when it is first read; the orbits are those of q_{r-1} and sh."""
     nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
     if spec.equivalence == "inner":
         return [BraidOrbit(spec, o, nc.forms, nc.moves) for o in nc.orbits]
     cmap = spec.memo(nielsen.absolute_class_map, spec)
-    moves = [array("i", map(cmap.__getitem__, m)) for m in nc.moves]
+    moves = Moves([None] * spec.r,
+                  lambda _, j: array("i", map(cmap.__getitem__, nc.moves[j])))
     return [BraidOrbit(spec, o, nc.forms, moves) for o in
-            partition(set(cmap) - {-1}, [m.__getitem__ for m in moves],
+            partition(set(cmap) - {-1}, [m.__getitem__ for m in moves[-2:]],
                       "braid orbit escaped the enumeration")]
 
 

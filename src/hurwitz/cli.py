@@ -179,7 +179,7 @@ def _shapes(orbit):
     its index form."""
     T = orbit.spec.group.tables()
     inv, label, r = T.inv, T.label, orbit.spec.r
-    forms = [orbit.forms[k] for k in orbit.nums]
+    forms = list(orbit.forms.rows(orbit.nums))
     return {"hm": r % 2 == 0 and any(
                 all(e[i + 1] == inv[e[i]] for i in range(0, r, 2))
                 for e in forms),

@@ -77,9 +77,9 @@ def _lift_table(h, cov):
 
 
 def orbit_lift_invariant(spec, orbit):
-    """The lift value of an inner orbit, read off its index forms; its
-    constancy over all members is a hard gate.  For A_n it is the sum of
-    omega over the entries.  For a cover, the product
+    """The lift value of an inner orbit, read off the columns of its forms
+    by number; its constancy over all members is a hard gate.  For A_n it
+    is the sum of omega over the entries.  For a cover, the product
     lambda(g_1)...lambda(g_{r-1}) lies over g_r^-1, so it is
     section(g_r^-1) central(u) for its offset u, and the product of all r
     lifts is central(u + kappa(g_r)).  The product of the first two lifts
@@ -97,20 +97,22 @@ def orbit_lift_invariant(spec, orbit):
     if None in map(lam.__getitem__, seed):
         lift_invariant(spec, from_indices(h.tables(), seed))   # raises
         raise ConsistencyError("lift table lacks an entry of %r" % (seed,))
-    forms = map(orbit.forms.__getitem__, orbit.nums)
     if cov == "an_spin":
-        vals = {sum(map(lam.__getitem__, e)) % 2 for e in forms}
+        vals = {sum(map(lam.__getitem__, e)) % 2
+                for e in orbit.forms.rows(orbit.nums)}
     else:
         mul, offset, pairs = cov.ext.mul, cov.offset, {}
+        first, second, *middle, final = orbit.forms.cols
 
-        def value(e):
-            p = pairs.get(e[:2])
+        def value(k):
+            head = first[k], second[k]
+            p = pairs.get(head)
             if p is None:
-                p = pairs[e[:2]] = mul(lam[e[0]], lam[e[1]])
-            for x in e[2:-1]:
-                p = mul(p, lam[x])
-            return (offset(p) + kappa[e[-1]]) * cov.unit % cov.L
-        vals = set(map(value, forms))
+                p = pairs[head] = mul(lam[head[0]], lam[head[1]])
+            for c in middle:
+                p = mul(p, lam[c[k]])
+            return (offset(p) + kappa[final[k]]) * cov.unit % cov.L
+        vals = set(map(value, orbit.nums))
     if len(vals) != 1:
         raise ConsistencyError("lift invariant not constant on orbit: %s"
                                % sorted(vals))
@@ -184,8 +186,8 @@ def _next_level(spec):
             return nc.number.get(
                 canon(tuple(map(red.__getitem__, o.forms[k]))), -1)
         base = frozenset(transport(
-            o.nums, direct, (o.moves[0], o.moves[-1]),
-            (nc.moves[0], nc.moves[-1]),
+            o.nums, direct, (o.moves[-2], o.moves[-1]),
+            (nc.moves[-2], nc.moves[-1]),
             "child orbit does not reduce into one base orbit").values())
         if not any(base <= b.nums for b in base_orbits):
             raise ConsistencyError("child orbit does not reduce into one "
@@ -204,8 +206,9 @@ def tower_lift(spec, orbit):
     h = spec.group
     child_spec, kids, below = spec.memo(_next_level, spec)
     # the orbit's forms by their numbers in the class, whatever numbered it
-    number = spec.memo(nielsen.nielsen_class, spec.as_inner()).number
-    nums = {number.get(orbit.forms[k]) for k in orbit.nums}
+    nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
+    nums = orbit.nums if orbit.forms is nc.forms else \
+        {nc.number.get(e) for e in orbit.forms.rows(orbit.nums)}
     out = [o for o, base in zip(kids, below) if base <= nums]
     if h.family == "affine2":
         base_val = orbit_lift_invariant(spec, orbit)

@@ -7,19 +7,24 @@ A tuple is a NielsenTuple(labels, entries): `labels[i]` is the class
 label of `entries[i]`.  Braids permute the labels along with the entries,
 so tuples over a class multiset with repeats keep their position->class
 assignment intact.  Inside the class, a form is its number: its place in
-NielsenTuple order among the canonical index tuples.
+NielsenTuple order among the canonical index tuples.  The class keeps its
+forms in `Forms`, r columns of element indices and an index of the
+blocks of numbers that share a head, with no Python object per form.
 
 The canonical forms are generated directly, least first, with no
 canonicalization.  Canonicalization runs once per form, for sh only:
 q_{r-1} keeps each form's canonical head and minimizes over that head's
-stabilizer, and the other twists follow from those two arrays.  A map that
-commutes with the braid moves (an automorphism, the reduction to the
-tower level below) is canonicalized at one form per braid orbit and
-carried over the rest along the move arrays by `transport`.
+stabilizer, and the other twists follow from those two arrays when they
+are first read.  A map that commutes with the braid moves (an
+automorphism, the reduction to the tower level below) is canonicalized
+at one form per braid orbit and carried over the rest along the move
+arrays of q_{r-1} and sh by `transport`.
 """
 
 from array import array
-from itertools import product, permutations
+from bisect import bisect_left
+from collections.abc import Mapping, Sequence
+from itertools import chain, groupby, islice, product, permutations
 from typing import NamedTuple
 
 from .groups import (Memo, make_group, ConsistencyError, BudgetExceeded,
@@ -128,10 +133,13 @@ def canonizer(h):
         rep, cen_rows = d
         to_rep = conj[transporter[e[0]]]
         best = base = tuple(map(to_rep.__getitem__, e))
+        x = base[1]
         for row in cen_rows:
-            cand = tuple(map(row.__getitem__, base))
-            if cand < best:
-                best = cand
+            # the rows fix the pinned entry, so entry 1 compares first
+            if row[x] <= best[1]:
+                cand = tuple(map(row.__getitem__, base))
+                if cand < best:
+                    best = cand
         if best[0] != rep:
             raise ConsistencyError("canonical form lost its pinned entry")
         return best
@@ -232,12 +240,12 @@ def _orderly_forms(spec):
     first differ at an entry its conjugator's prefix fixes).  So each
     middle entry runs over those least members, in order, and once the
     stabilizer is trivial the rest run free; the last entry is the
-    inverse of the product, which the stabilizer of the rest fixes."""
+    inverse of the product, which the stabilizer of the rest fixes.
+    The forms are yielded one at a time, so no list of them is built."""
     h = spec.group
     classes = h.classes()
     T = h.tables()
     mul, inv, label = T.mul, T.inv, T.label
-    forms = []
     for ordering in _orderings(spec, spec.labels[1:-1]):
         pin, stab = h.memo(_class_data, h, ordering[0])
         mids = [sorted(T.indices(classes[lab].members))
@@ -254,116 +262,231 @@ def _orderly_forms(spec):
                 for x in mids[-1]:
                     tail = inv[row[x]]
                     if label[tail] == last:
-                        forms.append(prefix + (x, tail))
+                        yield prefix + (x, tail)
 
         def extend(head, p, stab, i):
             # entry i of mids, under the stabilizer rows `stab` of head
             if i == len(mids):
                 tail = inv[p]
                 if label[tail] == last:
-                    forms.append(head + (tail,))
+                    yield head + (tail,)
             elif not stab:
-                free(head, p, i)
+                yield from free(head, p, i)
             else:
                 for x in mids[i]:
                     if all(row[x] >= x for row in stab):
-                        extend(head + (x,), mul[p][x],
-                               [row for row in stab if row[x] == x], i + 1)
-        extend((pin,), pin, stab, 0)
-    return forms
+                        yield from extend(
+                            head + (x,), mul[p][x],
+                            [row for row in stab if row[x] == x], i + 1)
+        yield from extend((pin,), pin, stab, 0)
 
 
-def form_table(h, forms, number, maps):
-    """For each index map in `maps`, an array over the numbers of `forms`
-    (number -> canonical index tuple): the number of the canonical image
-    of each form under the map, or -1 when `number` lacks it."""
-    canon = h.memo(canonizer, h)
-    return [array("i", [number.get(canon(m(e)), -1) for e in forms])
-            for m in maps]
+class Forms(Sequence):
+    """A numbering of canonical index tuples, number -> tuple, kept as r
+    columns of element indices with no Python object per form.  `heads`
+    maps each head, the entries before the last two and the label of
+    entry r-1, to its block (lo, hi) of numbers.  In NielsenTuple order a
+    block is one run of numbers in which entry r-1 strictly increases and
+    fixes entry r by product-one, so `find` bisects entry r-1 inside the
+    block and checks the last two columns: a tuple's number, or -1.
+    Indexing decodes a number to its tuple; iterating zips the columns."""
+
+    def __init__(self, T, r, tuples):
+        """`tuples`: index r-tuples in NielsenTuple order, read once."""
+        # read entry by entry, in chunks, then split into columns
+        flat = array("H" if len(T.els) < 1 << 16 else "I")
+        entries = chain.from_iterable(tuples)
+        while chunk := list(islice(entries, 1 << 14)):
+            flat.fromlist(chunk)
+        self.cols = cols = [flat[i::r] for i in range(r)]
+        self.heads = heads = {}
+        label = T.label
+        lo = 0
+        for head, run in groupby(zip(*cols[:-2],
+                                     map(label.__getitem__, cols[-2]))):
+            if head in heads:
+                raise ConsistencyError("forms out of NielsenTuple order")
+            hi = lo + len(list(run))
+            heads[head] = lo, hi
+            lo = hi
+        mid, end = cols[-2], cols[-1]
+
+        def find(e):
+            x = e[-2]
+            block = heads.get(e[:-2] + (label[x],))
+            if block is None:
+                return -1
+            lo, hi = block
+            k = bisect_left(mid, x, lo, hi)
+            return k if k < hi and mid[k] == x and end[k] == e[-1] else -1
+        # a closure, so that a hot loop pays one call per lookup
+        self.find = find
+
+    def __len__(self):
+        return len(self.cols[0])
+
+    def __getitem__(self, k):
+        return tuple([c[k] for c in self.cols])
+
+    def __iter__(self):
+        return zip(*self.cols)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def rows(self, nums):
+        """The tuples of the numbers `nums`, in their iteration order."""
+        return zip(*[map(c.__getitem__, nums) for c in self.cols])
+
+
+class Number(Mapping):
+    """The numbering of `forms` read the other way, canonical index tuple
+    -> number, as a read-only view over Forms.find."""
+
+    def __init__(self, forms):
+        self._forms = forms
+
+    def __getitem__(self, e):
+        k = self._forms.find(e)
+        if k < 0:
+            raise KeyError(e)
+        return k
+
+    def get(self, e, default=None):
+        k = self._forms.find(e)
+        return default if k < 0 else k
+
+    def __contains__(self, e):
+        return self._forms.find(e) >= 0
+
+    def __iter__(self):
+        return iter(self._forms)
+
+    def __len__(self):
+        return len(self._forms)
+
+
+class Moves(Sequence):
+    """The move arrays of a numbering, for q_1..q_{r-1} and sh.  `made`
+    holds the arrays built so far and None for the rest; make(moves, j)
+    builds move j when it is first read."""
+
+    def __init__(self, made, make):
+        self.made = made
+        self._make = make
+
+    def __len__(self):
+        return len(self.made)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self.made)))]
+        m = self.made[j]
+        if m is None:
+            m = self.made[j] = self._make(self, j % len(self.made))
+        return m
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return list(self) == list(other)
 
 
 def _check_permutation(row, what):
-    """A move array must be a permutation of the numbers: a -1 (an image
-    outside the enumeration) is rejected before any composition reads
-    it, since array[-1] would wrap, and a repeated number means a form
-    duplicated, missing or not canonical."""
+    """The inverse of the move array `row`, which must be a permutation of
+    the numbers: a -1 (an image outside the enumeration) is rejected
+    before any composition reads it, since array[-1] would wrap, and a
+    number hit twice leaves another unhit, a -1 in the inverse, which
+    means a form duplicated, missing or not canonical."""
     if -1 in row:
         raise ConsistencyError("braid orbit escaped the enumeration")
-    if len(set(row)) != len(row):
+    inverse = array("i", [-1]) * len(row)
+    for k, v in enumerate(row):
+        inverse[v] = k
+    if -1 in inverse:
         raise ConsistencyError("%s is not a permutation of the enumerated "
                                "forms" % what)
+    return inverse
 
 
 class NielsenClass(NamedTuple):
     """The numbered inner class of nielsen_class: every product-one form
-    (generating or not) with its number, the braid moves as permutations
-    of the numbers, and the generating braid orbits."""
-    forms: list     # number -> canonical index tuple
-    number: dict    # canonical index tuple -> number
-    moves: list     # per q_1..q_{r-1} and sh, a permutation of the numbers
-    orbits: list    # the generating braid orbits, frozensets of numbers
+    (generating or not), packed, with the view from a form to its number;
+    the braid moves as permutations of the numbers, of which q_{r-1} and
+    sh are built with the class and the other twists when first read; and
+    the generating braid orbits.  Code outside the build looks numbers up
+    through `number.get`."""
+    forms: Forms        # number -> canonical index tuple, packed
+    number: Mapping     # canonical index tuple -> number, a view on forms
+    moves: Moves        # per q_1..q_{r-1} and sh, a permutation of numbers
+    orbits: list        # the generating braid orbits, frozensets of numbers
 
 
-def _last_twist(h, forms, number):
+def _last_twist(h, forms):
     """q_{r-1} as an array over the numbers of `forms`, with no
     canonicalization.  The twist keeps a form's head e[:r-2], which is
     least in its orbit under the centralizer C of the pinned entry (see
     _orderly_forms).  So the canonical image is the least conjugate under
     the stabilizer of the head in C, whose rows fix the head and leave the
-    twisted pair to compare.  Those rows are memoized per head; with none,
-    the image is already canonical."""
+    twisted pair to compare; with none, the image is already canonical.
+    Per block of `forms`, those rows are found once, and the images lie in
+    the one block of the head with the label of the last entry, where they
+    are bisected."""
     T = h.tables()
     conj, label = T.conj, T.label
-    stabs = {}
+    heads, mid, end = forms.heads, forms.cols[-2], forms.cols[-1]
     out = array("i")
-    for e in forms:
-        head, x = e[:-2], e[-2]
-        rows = stabs.get(head)
-        if rows is None:
-            rows = stabs[head] = [
-                row for row in h.memo(_class_data, h, label[head[0]])[1]
+    for key, (lo, hi) in heads.items():
+        head = key[:-1]
+        rows = [row for row in h.memo(_class_data, h, label[head[0]])[1]
                 if all(row[y] == y for y in head[1:])]
-        best = pair = (conj[x][e[-1]], x)
-        for row in rows:
-            cand = (row[pair[0]], row[x])
-            if cand < best:
-                best = cand
-        out.append(number.get(head + best, -1))
+        tlo, thi = heads.get(head + (label[end[lo]],), (0, 0))
+        for x, y in zip(mid[lo:hi], end[lo:hi]):
+            # the twisted pair (z, x), and its least conjugate (u, w)
+            u = z = conj[x][y]
+            w = x
+            for row in rows:
+                if (row[z], row[x]) < (u, w):
+                    u, w = row[z], row[x]
+            k = bisect_left(mid, u, tlo, thi)
+            out.append(k if k < thi and mid[k] == u and end[k] == w else -1)
     return out
 
 
 def nielsen_class(spec):
     """The numbered inner NielsenClass of spec.  The canonical forms of the
     product-one tuples come from _orderly_forms, numbered in NielsenTuple
-    order, so an orbit's least number is its seed.  Only sh is
-    canonicalized; q_{r-1} keeps the canonical head of each form and is
-    read off _last_twist.  sh q_{j+1} sh^-1 = q_j on tuples and braid
-    moves commute with conjugation, so the other twists follow downward,
-    q_j[k] = sh[q_{j+1}[sh^-1[k]]], exactly on the numbers.  q_{r-1} and
-    sh generate the Hurwitz monodromy group, so the orbits are theirs.  A
-    braid move keeps the generated subgroup and a conjugation conjugates
-    it, so generation is tested on one form per orbit.  Callers read it
-    through spec.memo with the inner spec, once per spec and shared by
-    the twins."""
+    order, so an orbit's least number is its seed, and are packed into
+    Forms as they come.  Only sh is canonicalized; q_{r-1} keeps the
+    canonical head of each form and is read off _last_twist.  They
+    generate the Hurwitz monodromy group, so the orbits are theirs, and
+    the class keeps just those two arrays: sh q_{j+1} sh^-1 = q_j on
+    tuples and braid moves commute with conjugation, so the other twists
+    follow downward, q_j[k] = sh[q_{j+1}[sh^-1[k]]], exactly on the
+    numbers, each when it is first read.  A braid move keeps the generated
+    subgroup and a conjugation conjugates it, so generation is tested on
+    one form per orbit.  Callers read it through spec.memo with the inner
+    spec, once per spec and shared by the twins."""
     h = spec.group
     T = h.tables()
-    forms = _orderly_forms(spec)
-    number = {e: k for k, e in enumerate(forms)}
-    [shift] = form_table(h, forms, number, index_moves(T, spec.r)[-1:])
-    last = _last_twist(h, forms, number)
+    forms = Forms(T, spec.r, _orderly_forms(spec))
+    canon, find, cols = h.memo(canonizer, h), forms.find, forms.cols
+    # zip(cols[1:], cols[0]) iterates the shifted forms
+    shift = array("i", [find(canon(e)) for e in zip(*cols[1:], cols[0])])
+    last = _last_twist(h, forms)
     _check_permutation(last, "q_%d" % (spec.r - 1))
-    _check_permutation(shift, "sh")
-    unshift = array("i", shift)
-    for k, s in enumerate(shift):
-        unshift[s] = k
-    twists = [last]
-    for _ in range(spec.r - 2):
-        q = twists[0]
-        twists.insert(0, array("i", [shift[q[u]] for u in unshift]))
+    unshift = _check_permutation(shift, "sh")
+
+    def twist(moves, j):
+        q = moves[j + 1]
+        return array("i", [shift[q[u]] for u in unshift])
+    moves = Moves([None] * (spec.r - 2) + [last, shift], twist)
     orbits = partition(range(len(forms)),
                        [last.__getitem__, shift.__getitem__],
                        "braid orbit escaped the enumeration")
-    return NielsenClass(forms, number, twists + [shift], [
+    return NielsenClass(forms, Number(forms), moves, [
         o for o in orbits
         if h.generates([T.els[i] for i in forms[min(o)]])])
 
@@ -378,7 +501,7 @@ def enumerate_tuples(spec):
         cmap = spec.memo(absolute_class_map, spec)
         nums = set(map(cmap.__getitem__, nums))
     T = spec.group.tables()
-    return [from_indices(T, nc.forms[k]) for k in sorted(nums)]
+    return [from_indices(T, e) for e in nc.forms.rows(sorted(nums))]
 
 
 def transport(nums, direct, source, target, escaped):
@@ -424,7 +547,7 @@ def absolute_class_map(spec):
     h = spec.group
     nc = spec.memo(nielsen_class, spec.as_inner())
     canon = h.memo(canonizer, h)
-    moves = (nc.moves[0], nc.moves[-1])
+    moves = (nc.moves[-2], nc.moves[-1])
     nums = [k for o in nc.orbits for k in o]
     table = []
     for a in spec.aut_gens():

@@ -16,7 +16,7 @@ from functools import cache, cached_property
 
 from .groups import (PSL2, ConsistencyError, gl_orders, cen_in_Sn, closure,
                      partition, cycles)
-from .nielsen import index_moves
+from .nielsen import canonizer, index_moves
 
 PSL2_LIMIT = 2000       # largest |PSL2(Z/N)| the Sylow test builds
 
@@ -108,8 +108,9 @@ class CuspOrbit:
 def _middle_product_uv(h, g2, g3):
     """Prop.-style prediction of (u, v) for the middle pair (g2, g3) of
     element indices: u from the middle product g2 g3 modulo the center of
-    <g2, g3>, v the unreduced q2-orbit length.  Read through h.memo, once
-    per pair."""
+    <g2, g3>, v the unreduced q2-orbit length.  Both are invariant under
+    simultaneous conjugation, so it is read through h.memo on the
+    canonical form of the pair, once per conjugacy class of pairs."""
     if g2 == g3:
         return 1, 1
     T = h.tables()
@@ -149,7 +150,8 @@ def cusps(rc):
         # q2 orbit of the raw tuple: the object Prop.-predicted by (u,v)
         e = forms[t]
         raw_v = len(closure(e, [raw_q2]))
-        u, v_pred = h.memo(_middle_product_uv, h, e[1], e[2])
+        u, v_pred = h.memo(_middle_product_uv, h,
+                           *h.memo(canonizer, h)(e[1:3]))
         if v_pred != raw_v:
             raise ConsistencyError(
                 "cusp prediction v=%d but raw q2 orbit has length %d "

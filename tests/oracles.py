@@ -1,8 +1,57 @@
 """Closed-form lift values and the tuples they describe: cross-checks for
-the extension arithmetic of hurwitz.lift, used by the tests only."""
+the extension arithmetic of hurwitz.lift; and the numbered Nielsen class
+as a list of index tuples and a dict, with its moves from one
+canonicalization per form and move: the reference for the packed class
+of hurwitz.nielsen.  Used by the tests only."""
+
+from array import array
+from itertools import permutations, product
 
 from hurwitz.groups import ConsistencyError
-from hurwitz.nielsen import NielsenTuple
+from hurwitz.nielsen import NielsenTuple, canonizer, index_moves
+
+
+def form_table(h, forms, number, maps):
+    """For each index map in `maps`, an array over the numbers of `forms`
+    (number -> canonical index tuple): the number of the canonical image
+    of each form under the map, or -1 when `number` lacks it."""
+    canon = h.memo(canonizer, h)
+    return [array("i", [number.get(canon(m(e)), -1) for e in forms])
+            for m in maps]
+
+
+def pinned_forms(spec):
+    """Every product-one tuple with its first entry pinned to its class
+    representative, canonicalized, deduplicated and sorted in
+    NielsenTuple order."""
+    h = spec.group
+    T = h.tables()
+    classes = h.classes()
+    canon = h.memo(canonizer, h)
+    found = set()
+    for ordering in set(permutations(spec.labels)):
+        pin = T.index[classes[ordering[0]].rep]
+        mids = [T.indices(classes[lab].members) for lab in ordering[1:-1]]
+        for combo in product(*mids):
+            p = pin
+            for g in combo:
+                p = T.mul[p][g]
+            tail = T.inv[p]
+            if T.label[tail] == ordering[-1]:
+                found.add(canon((pin,) + combo + (tail,)))
+    return sorted(found, key=lambda e: (tuple(map(T.label.__getitem__, e)),
+                                        e))
+
+
+def tuple_class(spec):
+    """The numbered inner class of spec unpacked: the list of pinned_forms,
+    the dict from each to its number, and every braid move by
+    form_table."""
+    h = spec.group
+    forms = pinned_forms(spec)
+    number = {e: k for k, e in enumerate(forms)}
+    return forms, number, form_table(h, forms, number,
+                                     index_moves(h.tables(), spec.r))
 
 
 def serre_formula(a, a2p, a3p, L):

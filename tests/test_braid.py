@@ -8,11 +8,12 @@ from hurwitz.groups import (make_group, partition, ConsistencyError,
                             BudgetExceeded)
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
                              inner_canonical, enumerate_tuples,
-                             absolute_class_map, nielsen_class, form_table,
+                             absolute_class_map, nielsen_class,
                              index_moves, from_indices, apply_aut,
                              canonizer)
 from hurwitz.braid import (q_twist, q_untwist, sh, braid_moves, orbit,
                            all_orbits, braidable, component_lattice)
+from oracles import form_table
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}

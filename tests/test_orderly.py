@@ -1,18 +1,21 @@
-"""Oracles for the numbered Nielsen class: the orderly enumeration against
-pinning then canonicalizing every product-one tuple, the derived twists
-q_2..q_{r-1} against their direct form table, and the transported
-absolute class map and tower reduction against per-form
-canonicalization; and the gates of that path."""
+"""Oracles for the numbered Nielsen class: the orderly enumeration, packed,
+against the tuple list and dict of pinning then canonicalizing every
+product-one tuple, the derived twists against their direct form table,
+and the transported absolute class map and tower reduction against
+per-form canonicalization; the gates of that path; and what the class
+keeps."""
 
-from itertools import permutations, product
+import tracemalloc
 
 import pytest
 
 from hurwitz import nielsen
 from hurwitz.groups import make_group, partition, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, nielsen_class, absolute_class_map,
-                             form_table, index_moves, canonizer, transport)
-from hurwitz.lift import _next_level, _reduction
+                             index_moves, canonizer, transport)
+from hurwitz.braid import all_orbits, component_lattice
+from hurwitz.lift import _next_level, _reduction, level_up, tower_lift
+from oracles import form_table, tuple_class
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 DI7 = {"family": "affine2", "ell": 7, "k": 0, "order": 3}
@@ -55,37 +58,36 @@ TOWERS = ["a4", "d15", "d9", "d8", "d6-r5", "serre3"]
 
 
 def spec_of(name, eq="inner"):
-    gspec, labels = SPECS[name]
-    return NielsenSpec(make_group(gspec), labels, eq)
+    """The spec `name` of SPECS, or for "NAME-child" its next tower
+    level."""
+    gspec, labels = SPECS[name.removesuffix("-child")]
+    h = make_group(gspec)
+    if name.endswith("-child"):
+        h = level_up(h)
+    return NielsenSpec(h, labels, eq)
 
 
-def pinned_forms(spec):
-    """Every product-one tuple with its first entry pinned to its class
-    representative, canonicalized, deduplicated and sorted in
-    NielsenTuple order."""
-    h = spec.group
-    T = h.tables()
-    classes = h.classes()
-    canon = h.memo(canonizer, h)
-    found = set()
-    for ordering in set(permutations(spec.labels)):
-        pin = T.index[classes[ordering[0]].rep]
-        mids = [T.indices(classes[lab].members) for lab in ordering[1:-1]]
-        for combo in product(*mids):
-            p = pin
-            for g in combo:
-                p = T.mul[p][g]
-            tail = T.inv[p]
-            if T.label[tail] == ordering[-1]:
-                found.add(canon((pin,) + combo + (tail,)))
-    return sorted(found, key=lambda e: (tuple(map(T.label.__getitem__, e)),
-                                        e))
-
-
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", sorted(SPECS) +
+                         ["%s-child" % n for n in TOWERS])
 def test_orderly_forms_are_the_pinned_canonical_forms(name):
+    # the packed class against the tuple list and dict: iterating,
+    # decoding and looking up every form, and a conjugate of each that
+    # moves it, which is not canonical, so not numbered
     spec = spec_of(name)
-    assert nielsen_class(spec).forms == pinned_forms(spec)
+    T = spec.group.tables()
+    nc = nielsen_class(spec)
+    forms, number, _ = tuple_class(spec)
+    assert nc.forms == forms
+    assert [nc.forms[k] for k in range(len(forms))] == forms
+    assert len(nc.forms) == len(nc.number) == len(forms)
+    assert all(nc.number[e] == nc.number.get(e) == number[e] and
+               e in nc.number for e in forms)
+    for e in forms:
+        moved = next(c for c in (tuple(map(T.conj[z].__getitem__, e))
+                                 for z in range(len(T.els))) if c != e)
+        assert nc.number.get(moved, -1) == -1 and moved not in nc.number
+    with pytest.raises(KeyError):
+        nc.number[moved]
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -179,7 +181,7 @@ def test_noncanonical_form_is_an_inconsistency(monkeypatch):
     spec = spec_of("a4")
     h = spec.group
     T = h.tables()
-    e = nielsen._orderly_forms(spec)[4]
+    e = list(nielsen._orderly_forms(spec))[4]
     row = next(T.conj[z] for z in range(h.order)
                if tuple(map(T.conj[z].__getitem__, e)) != e)
     moved = tuple(map(row.__getitem__, e))
@@ -208,3 +210,37 @@ def test_transport_rejects_a_map_off_the_moves():
     # a BFS that cannot cover the orbit
     with pytest.raises(ConsistencyError, match="disagrees"):
         transport(o, int, (q1,), (q1,), "escaped")
+
+
+# ---------------------------------------------------------------------
+# what the class keeps
+
+def test_twists_below_the_last_are_derived_when_read():
+    # orbits, lattice and tower read q_{r-1} and sh alone
+    spec = spec_of("a4")
+    for o in all_orbits(spec):
+        tower_lift(spec, o)
+    component_lattice(spec)
+    nc = spec.memo(nielsen_class, spec)
+    child = spec.memo(_next_level, spec)[0]
+    for moves in (nc.moves, all_orbits(spec.as_absolute())[0].moves,
+                  child.memo(nielsen_class, child).moves):
+        assert moves.made[:2] == [None, None]
+        assert all(moves.made[2:])
+    assert nc.moves[0] == tuple_class(spec)[2][0]
+    assert nc.moves.made[0] is nc.moves[0]
+
+
+def test_packed_class_keeps_under_200_bytes_per_form():
+    # DI l=11, with every table of the group built by a first class
+    h = make_group({**DI7, "ell": 11})
+    nielsen_class(NielsenSpec(h, SPECS["di7"][1]))
+    spec = NielsenSpec(h, SPECS["di7"][1])
+    tracemalloc.start()
+    try:
+        nc = nielsen_class(spec)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(nc.forms) == 29286
+    assert live <= 200 * len(nc.forms)

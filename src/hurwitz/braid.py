@@ -1,15 +1,14 @@
-"""The Hurwitz-monodromy action on Nielsen classes: twists q_i and the
-shift sh, braid orbits on the numbered class (absolute ones through the
-absolute class map) and the BFS oracle over canonical forms, the
-braidable-automorphism test, and the inner/absolute component lattice."""
+"""The Hurwitz-monodromy action on Nielsen classes: the twist q_i on a
+tuple, braid orbits on the numbered class (absolute ones through the
+absolute class map), the braidable-automorphism test, and the
+inner/absolute component lattice."""
 
 from array import array
 from functools import cached_property
 
 from . import nielsen    # one name per memoized class derivation
-from .groups import ConsistencyError, closure, partition
-from .nielsen import (NielsenTuple, Forms, Moves, canonical, canonizer,
-                      from_indices)
+from .groups import ConsistencyError, partition
+from .nielsen import NielsenTuple, Moves, canonizer, from_indices
 
 
 def q_twist(spec, i, t):
@@ -26,36 +25,12 @@ def q_twist(spec, i, t):
     return NielsenTuple(tuple(l), tuple(e))
 
 
-def q_untwist(spec, i, t):
-    """Inverse twist: (a, b) -> (b, b^{-1} a b)."""
-    h = spec.group
-    j = i - 1
-    e, l = list(t.entries), list(t.labels)
-    a, b = e[j], e[j + 1]
-    e[j], e[j + 1] = b, h.conj(a, h.inv(b))
-    l[j], l[j + 1] = l[j + 1], l[j]
-    return NielsenTuple(tuple(l), tuple(e))
-
-
-def sh(spec, t):
-    """Left shift (g_1,...,g_r) -> (g_2,...,g_r,g_1)."""
-    return NielsenTuple(t.labels[1:] + t.labels[:1],
-                        t.entries[1:] + t.entries[:1])
-
-
-def braid_moves(spec):
-    moves = [lambda t, i=i: q_twist(spec, i, t) for i in range(1, spec.r)]
-    moves.append(lambda t: sh(spec, t))
-    return moves
-
-
 class BraidOrbit:
     """One braid orbit: `nums`, the numbers of its forms; `forms`, the
-    nielsen.Forms of their numbering; and `moves`, for each map of
-    braid_moves(spec), an array from each number (at least each of
-    `nums`) to the number its move lands on.  The orbits of one class
-    share `forms` and `moves`.  The NielsenTuples `members` are built on
-    first use."""
+    nielsen.Forms of the class; and `moves`, for each of q_1..q_{r-1} and
+    sh, an array from each number of the class to the number its move
+    lands on.  The orbits of one class share `forms` and `moves`.  The
+    NielsenTuples `members` are built on first use."""
 
     def __init__(self, spec, nums, forms, moves):
         self.spec = spec
@@ -73,24 +48,6 @@ class BraidOrbit:
 
     def __repr__(self):
         return "BraidOrbit(size=%d, seed=%s)" % (self.size, (self.seed,))
-
-
-def orbit(spec, seed):
-    """Braid orbit of a canonical seed (BFS under q_i, sh, re-canonicalized
-    after every move), numbered in form order; its move arrays record each
-    move the BFS makes."""
-    if canonical(spec, seed) != seed:
-        raise ValueError("seed is not canonical")
-    table = [{} for _ in range(spec.r)]
-    moves = [lambda t, m=m, d=d: d.setdefault(t, canonical(spec, m(t)))
-             for m, d in zip(braid_moves(spec), table)]
-    members = sorted(closure(seed, moves))
-    number = {t: k for k, t in enumerate(members)}
-    T = spec.group.tables()
-    forms = Forms(T, spec.r, (T.indices(t.entries) for t in members))
-    return BraidOrbit(spec, range(len(members)), forms,
-                      [array("i", [number[d[t]] for t in members])
-                       for d in table])
 
 
 def _orbits(spec):
@@ -128,7 +85,7 @@ def braidable(spec, braid_orbit, a):
     if braid_orbit.forms is not nc.forms:
         raise ValueError("braidable reads orbits numbered by the class")
     image = T.indices(a(T.els[x]) for x in nc.forms[min(braid_orbit.nums)])
-    return nc.number.get(h.memo(canonizer, h)(image)) in braid_orbit.nums
+    return nc.forms.find(h.memo(canonizer, h)(image)) in braid_orbit.nums
 
 
 class ComponentLattice:

@@ -174,9 +174,10 @@ def _shmatrix_section(comps):
 
 
 def _shapes(orbit):
-    """{"hm", "di"}: whether some member of the orbit has the shape of
-    nielsen.hm_detect, and of nielsen.di_detect with no di_class, read on
-    its index form."""
+    """{"hm", "di"}: whether some member of the orbit has the
+    Harbater-Mumford shape (g1, g1^-1, g2, g2^-1, ...), and the
+    double-identity shape (g1, g2, g1, g4) with g2, g4 in one class, read
+    on its index form."""
     T = orbit.spec.group.tables()
     inv, label, r = T.inv, T.label, orbit.spec.r
     forms = list(orbit.forms.rows(orbit.nums))
@@ -194,7 +195,7 @@ def _lift_section(spec, comps):
             raise c.lift_error
     return {"orbits": [
         {"size": c.orbit.size, "lift": c.lift,
-         "obstructed": c.lift != 0,       # as lift.obstructed
+         "obstructed": c.lift != 0,
          **_shapes(c.orbit),
          "moduli_degree": lift_moduli_degree(spec.group, c.lift)}
         for c in comps]}
@@ -325,11 +326,8 @@ def build_parser():
     p.add_argument("--cmd", default="report", choices=COMMANDS)
     p.add_argument("--out", default=None, help="output directory")
     p.add_argument("--format", default="json", choices=tuple(FORMATTERS))
-    # argparse converts a string default with `type`, so a bad
-    # HURWITZ_BUDGET is a usage error like a bad --budget
-    p.add_argument("--budget", type=int,
-                   default=os.environ.get("HURWITZ_BUDGET", DEFAULT_BUDGET))
-    p.add_argument("--cache", default=os.environ.get("HURWITZ_CACHE"))
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--cache")
     return p
 
 
@@ -345,6 +343,9 @@ def run(argv=None):
             json.JSONDecodeError) as e:
         print("config error: %s" % e, file=sys.stderr)
         return EXIT_CONFIG
+    except ConsistencyError as e:
+        print("internal inconsistency: %s" % e, file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         if args.cache and load_cached_orbits(args.cache, spec) is None:
             store_cached_orbits(args.cache, spec, all_orbits(spec))

@@ -110,21 +110,6 @@ class ConjClass:
             self.label, len(self.members), self.elem_order)
 
 
-class Automorphism:
-    """A bijection of the group given by an element map; `name` keeps
-    reports deterministic and debuggable."""
-
-    def __init__(self, name, fn):
-        self.name = name
-        self.fn = fn
-
-    def __call__(self, g):
-        return self.fn(g)
-
-    def __repr__(self):
-        return "Automorphism(%s)" % self.name
-
-
 MAX_ORDER = 10 ** 4
 
 
@@ -472,11 +457,6 @@ class PermGroup(GroupHandle):
             return [p for p in self.elements() if p[0] == 0]
         return super().stabilizer(T)
 
-    def coset_action_orbit_count(self, g, T):
-        if T == "natural":
-            return len(cycles(g, range(self.n))), self.n
-        return super().coset_action_orbit_count(g, T)
-
 
 class Alternating(PermGroup):
     family = "alternating"
@@ -488,14 +468,14 @@ class Alternating(PermGroup):
         return {"family": "alternating", "n": self.n}
 
     def aut_gens(self, labels):
-        t = list(range(self.n))
-        t[0], t[1] = t[1], t[0]
-        t = tuple(t)
-        a = Automorphism("conj(0 1)", lambda g, t=t: _pmul(_pmul(t, g), t))
+        t = (1, 0) + tuple(range(2, self.n))
+
+        def a(g):
+            return _pmul(_pmul(t, g), t)
         return [a] if _aut_preserves(self, a, labels) else []
 
     def coset_rep_auts(self, labels):
-        return [Automorphism("id", lambda g: g)] + self.aut_gens(labels)
+        return [lambda g: g] + self.aut_gens(labels)
 
 
 class Symmetric(PermGroup):
@@ -511,7 +491,7 @@ class Symmetric(PermGroup):
         return []
 
     def coset_rep_auts(self, labels):
-        return [Automorphism("id", lambda g: g)]
+        return [lambda g: g]
 
 
 # ---------------------------------------------------------------------
@@ -555,11 +535,7 @@ class Dihedral(GroupHandle):
         return out
 
     def _unit_maps(self, bs):
-        maps = []
-        for b in bs:
-            maps.append(Automorphism(
-                "t*%d" % b, lambda g, b=b: (g[0], (b * g[1]) % self.m)))
-        return maps
+        return [lambda g, b=b: (g[0], (b * g[1]) % self.m) for b in bs]
 
     def aut_gens(self, labels):
         return self._unit_maps(unit_gens(self.m))
@@ -665,30 +641,23 @@ class Affine2(GroupHandle):
             out[cl.label] = cl
         return out
 
-    def _vec_maps(self, named_mats, det_twists=()):
-        """Automorphisms (c,v) -> (c, Mv) and class-swapping
-        (c,v) -> (-c, Nv) variants."""
-        out = []
-        for name, M in named_mats:
-            out.append(Automorphism(
-                name, lambda g, M=M: (g[0], _matvec(M, g[1], self.L))))
-        for name, N in det_twists:
-            out.append(Automorphism(
-                name, lambda g, N=N: ((-g[0]) % self.aut_order,
-                                      _matvec(N, g[1], self.L))))
-        return out
+    def _vec_maps(self, mats, twists=()):
+        """Automorphisms (c,v) -> (c, Mv) for M in mats, and class-swapping
+        (c,v) -> (-c, Nv) for N in twists."""
+        L, o = self.L, self.aut_order
+        return ([lambda g, M=M: (g[0], _matvec(M, g[1], L)) for M in mats] +
+                [lambda g, N=N: ((-g[0]) % o, _matvec(N, g[1], L))
+                 for N in twists])
 
     def aut_gens(self, labels):
         if self.aut_order == 2:
             b = unit_gens(self.L)[0] if self.ell != 2 else 1
-            mats = [("T1", ((1, 1), (0, 1))), ("T2", ((1, 0), (1, 1))),
-                    ("scal%d" % b, ((b, 0), (0, b)))]
-            gens = self._vec_maps(mats)
+            gens = self._vec_maps([((1, 1), (0, 1)), ((1, 0), (1, 1)),
+                                   ((b, 0), (0, b))])
         else:
             # centralizer units x + y*A of A*, plus the A <-> A^2 swap
-            gens = self._vec_maps(
-                [(n, M) for n, M in self._za_unit_gens()],
-                det_twists=[("swap", ((0, 1), (1, 0)))])
+            gens = self._vec_maps(self._za_unit_gens(),
+                                  twists=[((0, 1), (1, 0))])
         return [a for a in gens if _aut_preserves(self, a, labels)]
 
     def coset_rep_auts(self, labels):
@@ -696,18 +665,17 @@ class Affine2(GroupHandle):
             # scalar coset reps of the braidable part, per the normalizer
             # action b:(a,a') -> b(a,a')
             maps = self._vec_maps(
-                [("scal%d" % b, ((b, 0), (0, b)))
+                [((b, 0), (0, b))
                  for b in range(1, self.L) if math.gcd(b, self.ell) == 1])
         else:
             units = self._za_units()
             maps = self._vec_maps(
-                [("u%d,%d" % (x, y), M) for (x, y), M in units],
-                det_twists=[("swap*u%d,%d" % (x, y),
-                             _matmul(((0, 1), (1, 0)), M, self.L))
-                            for (x, y), M in units])
+                units, twists=[_matmul(((0, 1), (1, 0)), M, self.L)
+                               for M in units])
         return [a for a in maps if _aut_preserves(self, a, labels)]
 
     def _za_units(self):
+        """The matrices x + y*A* with a unit determinant."""
         I = ((1, 0), (0, 1))
         out = []
         for x in range(self.L):
@@ -716,21 +684,20 @@ class Affine2(GroupHandle):
                                 for j in range(2)) for i in range(2))
                 det = (M[0][0] * M[1][1] - M[0][1] * M[1][0]) % self.L
                 if math.gcd(det, self.ell) == 1:
-                    out.append(((x, y), M))
+                    out.append(M)
         return out
 
     def _za_unit_gens(self):
         units = self._za_units()
-        mats = {M for _, M in units}
         I = ((1, 0), (0, 1))
 
         gens, span = [], {I}
-        for (x, y), M in units:
+        for M in units:
             if M not in span:
-                gens.append(("u%d,%d" % (x, y), M))
+                gens.append(M)
                 span = closure(I, [lambda X, g=g: _matmul(X, g, self.L)
-                                   for _, g in gens])
-                if len(span) == len(mats):
+                                   for g in gens])
+                if len(span) == len(set(units)):
                     break
         return gens
 
@@ -879,6 +846,11 @@ def make_group(spec):
 
 def _build_group(spec):
     fam = spec["family"]
+    least = {"ell": 2, "k": 0, "m": 1, "n": 2 if fam == "alternating" else 1}
+    for field, low in least.items():
+        if field in spec and spec[field] < low:
+            raise ValueError("%s needs %s >= %d, not %r"
+                             % (fam, field, low, spec[field]))
     if fam == "alternating":
         return Alternating(spec["n"])
     if fam == "symmetric":
@@ -953,8 +925,7 @@ def _extend_hom(h, gens, images):
 
 def fallback_aut_gens(h, labels):
     maps = h.memo(_automorphism_maps, h)
-    auts = [Automorphism("aut%d" % i, lambda g, m=m: m[g])
-            for i, m in enumerate(maps)]
+    auts = [m.__getitem__ for m in maps]
     return [a for a in auts if _aut_preserves(h, a, labels)]
 
 

@@ -134,10 +134,6 @@ def normalizer_action_on_lift(spec, lattice):
             "inner_values": inner_vals}
 
 
-def obstructed(spec, orbit):
-    return orbit_lift_invariant(spec, orbit) != 0
-
-
 def level_up(h):
     """The next group of the parametrized family (k -> k+1)."""
     if h.family == "affine2":
@@ -183,8 +179,8 @@ def _next_level(spec):
     below = []
     for o in kids:
         def direct(k):
-            return nc.number.get(
-                canon(tuple(map(red.__getitem__, o.forms[k]))), -1)
+            return nc.forms.find(canon(tuple(map(red.__getitem__,
+                                                 o.forms[k]))))
         base = frozenset(transport(
             o.nums, direct, (o.moves[-2], o.moves[-1]),
             (nc.moves[-2], nc.moves[-1]),
@@ -198,18 +194,18 @@ def _next_level(spec):
 
 def tower_lift(spec, orbit):
     """Braid orbits at level k+1 whose entrywise reductions land in the
-    given inner orbit.  Hard gate: each child orbit's lift invariant
-    reduces (mod the parent modulus) to the base orbit's value.  Note
-    the family towers can be nonempty over orbits with nonzero lift
-    invariant: the Schur-multiplier obstruction concerns representation
-    covers that these abelian-kernel levels never factor through."""
+    given inner orbit of all_orbits(spec).  Hard gate: each child orbit's
+    lift invariant reduces (mod the parent modulus) to the base orbit's
+    value.  Note the family towers can be nonempty over orbits with
+    nonzero lift invariant: the Schur-multiplier obstruction concerns
+    representation covers that these abelian-kernel levels never factor
+    through."""
     h = spec.group
-    child_spec, kids, below = spec.memo(_next_level, spec)
-    # the orbit's forms by their numbers in the class, whatever numbered it
     nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
-    nums = orbit.nums if orbit.forms is nc.forms else \
-        {nc.number.get(e) for e in orbit.forms.rows(orbit.nums)}
-    out = [o for o, base in zip(kids, below) if base <= nums]
+    if orbit.forms is not nc.forms:
+        raise ValueError("tower_lift reads orbits numbered by the class")
+    child_spec, kids, below = spec.memo(_next_level, spec)
+    out = [o for o, base in zip(kids, below) if base <= orbit.nums]
     if h.family == "affine2":
         base_val = orbit_lift_invariant(spec, orbit)
         for o in out:
@@ -270,16 +266,10 @@ def bcl_data(spec):
     return BCLData(N, M_inn, M_abs, len(M_inn) == len(_units(N)))
 
 
-def component_moduli_degree(spec, orbit):
-    """Orbit length of the lift value under the unit multipliers of the
-    cyclic Schur multiplier (Z/ell^{k+1} for affine2 families, Z/2 for
-    alternating spin)."""
-    return lift_moduli_degree(spec.group,
-                              orbit_lift_invariant(spec, orbit))
-
-
 def lift_moduli_degree(h, s):
-    """component_moduli_degree from the lift value s of a component of h."""
+    """The orbit length of the lift value s of a component of h under the
+    unit multipliers of the cyclic Schur multiplier (Z/ell^{k+1} for
+    affine2 families, Z/2 for alternating spin)."""
     if h.family == "affine2":
         L = h.L
         return len({u * s % L for u in _units(L)})

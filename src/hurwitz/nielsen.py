@@ -1,7 +1,6 @@
-"""Nielsen tuples: the product-one/generation predicate, inner and
-absolute canonical forms, the numbered Nielsen class with its braid-move
-arrays and braid orbits, the absolute class map, Riemann-Hurwitz cover
-genus, and HM/DI shape detection.
+"""Nielsen tuples: the inner canonical form, the numbered Nielsen class
+with its braid-move arrays and braid orbits, the absolute class map,
+Riemann-Hurwitz cover genus, and the pure-cycle reduction.
 
 A tuple is a NielsenTuple(labels, entries): `labels[i]` is the class
 label of `entries[i]`.  Braids permute the labels along with the entries,
@@ -23,12 +22,12 @@ arrays of q_{r-1} and sh by `transport`.
 
 from array import array
 from bisect import bisect_left
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from itertools import chain, groupby, islice, product, permutations
 from typing import NamedTuple
 
 from .groups import (Memo, make_group, ConsistencyError, BudgetExceeded,
-                     closure, partition, cycles)
+                     partition, cycles)
 
 
 class NielsenTuple(NamedTuple):
@@ -158,49 +157,12 @@ def _aut_perm(h, a):
     return [T.index[a(g)] for g in T.els]
 
 
-def is_nielsen(spec, t):
-    h = spec.group
-    classes = h.classes()
-    if len(t.entries) != spec.r or sorted(t.labels) != sorted(spec.labels):
-        return False
-    for lab, g in zip(t.labels, t.entries):
-        if g not in classes[lab].members:
-            return False
-    p = h.identity
-    for g in t.entries:
-        p = h.mul(p, g)
-    if p != h.identity:
-        return False
-    return h.generates(list(t.entries))
-
-
 def inner_canonical(spec, t):
     """Minimum over all conjugations of t (labels kept)."""
     h = spec.group
     T = h.tables()
     best = h.memo(canonizer, h)(T.indices(t.entries))
     return NielsenTuple(t.labels, tuple(map(T.els.__getitem__, best)))
-
-
-def apply_aut(spec, a, t):
-    """Automorphism on a tuple: map entries, recompute labels, and return
-    the inner canonical form."""
-    h = spec.group
-    T = h.tables()
-    return from_indices(T, h.memo(canonizer, h)(T.indices(map(a, t.entries))))
-
-
-def absolute_canonical(spec, t):
-    """Min over the closure of the inner form under the automorphism
-    generators (the same value the orbit machinery assigns)."""
-    return min(closure(inner_canonical(spec, t), [
-        lambda t, a=a: apply_aut(spec, a, t) for a in spec.aut_gens()]))
-
-
-def canonical(spec, t):
-    if spec.equivalence == "inner":
-        return inner_canonical(spec, t)
-    return absolute_canonical(spec, t)
 
 
 # ---------------------------------------------------------------------
@@ -331,41 +293,9 @@ class Forms(Sequence):
     def __iter__(self):
         return zip(*self.cols)
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
     def rows(self, nums):
         """The tuples of the numbers `nums`, in their iteration order."""
         return zip(*[map(c.__getitem__, nums) for c in self.cols])
-
-
-class Number(Mapping):
-    """The numbering of `forms` read the other way, canonical index tuple
-    -> number, as a read-only view over Forms.find."""
-
-    def __init__(self, forms):
-        self._forms = forms
-
-    def __getitem__(self, e):
-        k = self._forms.find(e)
-        if k < 0:
-            raise KeyError(e)
-        return k
-
-    def get(self, e, default=None):
-        k = self._forms.find(e)
-        return default if k < 0 else k
-
-    def __contains__(self, e):
-        return self._forms.find(e) >= 0
-
-    def __iter__(self):
-        return iter(self._forms)
-
-    def __len__(self):
-        return len(self._forms)
 
 
 class Moves(Sequence):
@@ -388,11 +318,6 @@ class Moves(Sequence):
             m = self.made[j] = self._make(self, j % len(self.made))
         return m
 
-    def __eq__(self, other):
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return list(self) == list(other)
-
 
 def _check_permutation(row, what):
     """The inverse of the move array `row`, which must be a permutation of
@@ -413,13 +338,11 @@ def _check_permutation(row, what):
 
 class NielsenClass(NamedTuple):
     """The numbered inner class of nielsen_class: every product-one form
-    (generating or not), packed, with the view from a form to its number;
-    the braid moves as permutations of the numbers, of which q_{r-1} and
-    sh are built with the class and the other twists when first read; and
-    the generating braid orbits.  Code outside the build looks numbers up
-    through `number.get`."""
+    (generating or not), packed, and looked up by `forms.find`; the braid
+    moves as permutations of the numbers, of which q_{r-1} and sh are
+    built with the class and the other twists when first read; and the
+    generating braid orbits."""
     forms: Forms        # number -> canonical index tuple, packed
-    number: Mapping     # canonical index tuple -> number, a view on forms
     moves: Moves        # per q_1..q_{r-1} and sh, a permutation of numbers
     orbits: list        # the generating braid orbits, frozensets of numbers
 
@@ -486,7 +409,7 @@ def nielsen_class(spec):
     orbits = partition(range(len(forms)),
                        [last.__getitem__, shift.__getitem__],
                        "braid orbit escaped the enumeration")
-    return NielsenClass(forms, Number(forms), moves, [
+    return NielsenClass(forms, moves, [
         o for o in orbits
         if h.generates([T.els[i] for i in forms[min(o)]])])
 
@@ -554,8 +477,8 @@ def absolute_class_map(spec):
         p = h.memo(_aut_perm, h, a)
 
         def direct(k):
-            return nc.number.get(
-                canon(tuple(map(p.__getitem__, nc.forms[k]))), -1)
+            return nc.forms.find(canon(tuple(map(p.__getitem__,
+                                                 nc.forms[k]))))
         row = array("i", [-1]) * len(nc.forms)
         for o in nc.orbits:
             for k, v in transport(o, direct, moves, moves, "automorphism "
@@ -569,29 +492,6 @@ def absolute_class_map(spec):
         for k in o:
             cmap[k] = rep
     return cmap
-
-
-def unpinned_enumerate(spec):
-    """Oracle: brute enumeration without first-entry pinning (small specs
-    only); must agree with enumerate_tuples."""
-    h = spec.group
-    classes = h.classes()
-    forms = set()
-    for ordering in _orderings(spec, spec.labels[:-1]):
-        cls = [classes[lab] for lab in ordering]
-        last = cls[-1].members
-        for combo in product(*[sorted(c.members) for c in cls[:-1]]):
-            p = h.identity
-            for g in combo:
-                p = h.mul(p, g)
-            tail = h.inv(p)
-            if tail not in last:
-                continue
-            entries = combo + (tail,)
-            if not h.generates(list(entries)):
-                continue
-            forms.add(canonical(spec, NielsenTuple(ordering, entries)))
-    return sorted(forms)
 
 
 # ---------------------------------------------------------------------
@@ -617,30 +517,6 @@ def cover_genus(spec):
     if g < 0:
         raise ConsistencyError("negative genus %d" % g)
     return g
-
-
-# ---------------------------------------------------------------------
-# shapes
-
-def hm_detect(spec, t):
-    """(g1, g1^{-1}, g2, g2^{-1}, ...) in consecutive pairs."""
-    h = spec.group
-    if len(t.entries) % 2:
-        return False
-    return all(t.entries[i + 1] == h.inv(t.entries[i])
-               for i in range(0, len(t.entries), 2))
-
-
-def di_detect(spec, t, di_class=None):
-    """Double-identity shape (g1, g2, g1, g4); when di_class is given,
-    positions 2 and 4 must carry that label."""
-    if len(t.entries) != 4:
-        return False
-    if t.entries[0] != t.entries[2]:
-        return False
-    if di_class is not None:
-        return t.labels[1] == di_class and t.labels[3] == di_class
-    return t.labels[1] == t.labels[3]
 
 
 # ---------------------------------------------------------------------

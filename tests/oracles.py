@@ -1,23 +1,166 @@
-"""Closed-form lift values and the tuples they describe: cross-checks for
-the extension arithmetic of hurwitz.lift; and the numbered Nielsen class
-as a list of index tuples and a dict, with its moves from one
-canonicalization per form and move: the reference for the packed class
-of hurwitz.nielsen.  Used by the tests only."""
+"""References for hurwitz, used by the tests only: the tuple-level engine
+(braid moves on NielsenTuples, the BFS orbit, canonical forms, brute
+enumeration, the Nielsen predicate and shape tests); the numbered class
+as a tuple list and a dict, the reference for the packed class; and
+closed-form lift values, cross-checks for hurwitz.lift."""
 
 from array import array
 from itertools import permutations, product
 
-from hurwitz.groups import ConsistencyError
-from hurwitz.nielsen import NielsenTuple, canonizer, index_moves
+from hurwitz.braid import BraidOrbit, q_twist
+from hurwitz.groups import ConsistencyError, closure
+from hurwitz.lift import lift_moduli_degree, orbit_lift_invariant
+from hurwitz.nielsen import (NielsenTuple, Forms, canonizer, from_indices,
+                             index_moves, inner_canonical)
 
 
-def form_table(h, forms, number, maps):
+# ---------------------------------------------------------------------
+# the tuple-level engine
+
+def q_untwist(spec, i, t):
+    """Inverse twist: (a, b) -> (b, b^{-1} a b)."""
+    h = spec.group
+    j = i - 1
+    e, l = list(t.entries), list(t.labels)
+    a, b = e[j], e[j + 1]
+    e[j], e[j + 1] = b, h.conj(a, h.inv(b))
+    l[j], l[j + 1] = l[j + 1], l[j]
+    return NielsenTuple(tuple(l), tuple(e))
+
+
+def sh(spec, t):
+    """Left shift (g_1,...,g_r) -> (g_2,...,g_r,g_1)."""
+    return NielsenTuple(t.labels[1:] + t.labels[:1],
+                        t.entries[1:] + t.entries[:1])
+
+
+def braid_moves(spec):
+    """q_1..q_{r-1} and sh on NielsenTuples."""
+    moves = [lambda t, i=i: q_twist(spec, i, t) for i in range(1, spec.r)]
+    moves.append(lambda t: sh(spec, t))
+    return moves
+
+
+def is_nielsen(spec, t):
+    """Is t a generating product-one tuple over the classes of spec?"""
+    h = spec.group
+    classes = h.classes()
+    if len(t.entries) != spec.r or sorted(t.labels) != sorted(spec.labels):
+        return False
+    for lab, g in zip(t.labels, t.entries):
+        if g not in classes[lab].members:
+            return False
+    p = h.identity
+    for g in t.entries:
+        p = h.mul(p, g)
+    if p != h.identity:
+        return False
+    return h.generates(list(t.entries))
+
+
+def apply_aut(spec, a, t):
+    """Automorphism on a tuple: map entries, recompute labels, and return
+    the inner canonical form."""
+    h = spec.group
+    T = h.tables()
+    return from_indices(T, h.memo(canonizer, h)(T.indices(map(a, t.entries))))
+
+
+def absolute_canonical(spec, t):
+    """Min over the closure of the inner form under the automorphism
+    generators (the same value the orbit machinery assigns)."""
+    return min(closure(inner_canonical(spec, t), [
+        lambda t, a=a: apply_aut(spec, a, t) for a in spec.aut_gens()]))
+
+
+def canonical(spec, t):
+    if spec.equivalence == "inner":
+        return inner_canonical(spec, t)
+    return absolute_canonical(spec, t)
+
+
+def orbit(spec, seed):
+    """Braid orbit of a canonical seed (BFS under q_i, sh, re-canonicalized
+    after every move), numbered on its own in form order; its move arrays
+    record each move the BFS makes."""
+    if canonical(spec, seed) != seed:
+        raise ValueError("seed is not canonical")
+    table = [{} for _ in range(spec.r)]
+    moves = [lambda t, m=m, d=d: d.setdefault(t, canonical(spec, m(t)))
+             for m, d in zip(braid_moves(spec), table)]
+    members = sorted(closure(seed, moves))
+    number = {t: k for k, t in enumerate(members)}
+    T = spec.group.tables()
+    forms = Forms(T, spec.r, (T.indices(t.entries) for t in members))
+    return BraidOrbit(spec, range(len(members)), forms,
+                      [array("i", [number[d[t]] for t in members])
+                       for d in table])
+
+
+def unpinned_enumerate(spec):
+    """Brute enumeration without first-entry pinning (small specs only);
+    must agree with enumerate_tuples."""
+    h = spec.group
+    classes = h.classes()
+    forms = set()
+    for ordering in sorted(set(permutations(spec.labels))):
+        cls = [classes[lab] for lab in ordering]
+        last = cls[-1].members
+        for combo in product(*[sorted(c.members) for c in cls[:-1]]):
+            p = h.identity
+            for g in combo:
+                p = h.mul(p, g)
+            tail = h.inv(p)
+            if tail not in last:
+                continue
+            entries = combo + (tail,)
+            if not h.generates(list(entries)):
+                continue
+            forms.add(canonical(spec, NielsenTuple(ordering, entries)))
+    return sorted(forms)
+
+
+def hm_detect(spec, t):
+    """(g1, g1^{-1}, g2, g2^{-1}, ...) in consecutive pairs."""
+    h = spec.group
+    if len(t.entries) % 2:
+        return False
+    return all(t.entries[i + 1] == h.inv(t.entries[i])
+               for i in range(0, len(t.entries), 2))
+
+
+def di_detect(spec, t, di_class=None):
+    """Double-identity shape (g1, g2, g1, g4); when di_class is given,
+    positions 2 and 4 must carry that label."""
+    if len(t.entries) != 4:
+        return False
+    if t.entries[0] != t.entries[2]:
+        return False
+    if di_class is not None:
+        return t.labels[1] == di_class and t.labels[3] == di_class
+    return t.labels[1] == t.labels[3]
+
+
+def obstructed(spec, orbit):
+    """Does the orbit carry a nonzero lift invariant?"""
+    return orbit_lift_invariant(spec, orbit) != 0
+
+
+def component_moduli_degree(spec, orbit):
+    """lift.lift_moduli_degree of the orbit's lift value."""
+    return lift_moduli_degree(spec.group, orbit_lift_invariant(spec, orbit))
+
+
+# ---------------------------------------------------------------------
+# the numbered class as a tuple list and a dict
+
+def form_table(h, forms, find, maps):
     """For each index map in `maps`, an array over the numbers of `forms`
-    (number -> canonical index tuple): the number of the canonical image
-    of each form under the map, or -1 when `number` lacks it."""
+    (number -> canonical index tuple): the number find(c) of the canonical
+    image c of each form under the map, find giving -1 for a tuple it
+    lacks."""
     canon = h.memo(canonizer, h)
-    return [array("i", [number.get(canon(m(e)), -1) for e in forms])
-            for m in maps]
+    return [array("i", [find(canon(m(e))) for e in forms]) for m in maps]
 
 
 def pinned_forms(spec):
@@ -50,9 +193,12 @@ def tuple_class(spec):
     h = spec.group
     forms = pinned_forms(spec)
     number = {e: k for k, e in enumerate(forms)}
-    return forms, number, form_table(h, forms, number,
+    return forms, number, form_table(h, forms, lambda e: number.get(e, -1),
                                      index_moves(h.tables(), spec.r))
 
+
+# ---------------------------------------------------------------------
+# closed-form lift values
 
 def serre_formula(a, a2p, a3p, L):
     """Closed-form lift value of the involution tuple with translations

@@ -11,13 +11,13 @@ import pytest
 
 from hurwitz.groups import make_group, gl_orders
 from hurwitz.nielsen import (NielsenSpec, enumerate_tuples, cover_genus,
-                             hm_detect, di_detect, from_indices)
+                             from_indices)
 from hurwitz.braid import all_orbits, component_lattice
 from hurwitz.reduced import reduce_orbit, cusps, reduced_genus, wohlfahrt
 from hurwitz.lift import (lift_invariant, orbit_lift_invariant,
-                          normalizer_action_on_lift, obstructed, tower_lift,
-                          an_spin)
-from oracles import serre_formula, serre_tuple, di_formula, di_triple
+                          normalizer_action_on_lift, tower_lift, an_spin)
+from oracles import (serre_formula, serre_tuple, di_formula, di_triple,
+                     hm_detect, di_detect, obstructed)
 
 
 def spec_of(gspec, labels, eq="inner", T=None):

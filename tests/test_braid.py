@@ -1,3 +1,4 @@
+import copy
 import random
 
 import pytest
@@ -6,14 +7,14 @@ from hypothesis import given, settings, strategies as st
 from hurwitz import nielsen
 from hurwitz.groups import (make_group, partition, ConsistencyError,
                             BudgetExceeded)
-from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
-                             inner_canonical, enumerate_tuples,
-                             absolute_class_map, nielsen_class,
-                             index_moves, from_indices, apply_aut,
+from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
+                             enumerate_tuples, absolute_class_map,
+                             nielsen_class, index_moves, from_indices,
                              canonizer)
-from hurwitz.braid import (q_twist, q_untwist, sh, braid_moves, orbit,
-                           all_orbits, braidable, component_lattice)
-from oracles import form_table
+from hurwitz.braid import (q_twist, all_orbits, braidable,
+                           component_lattice)
+from oracles import (form_table, q_untwist, sh, braid_moves, orbit,
+                     is_nielsen, apply_aut)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}
@@ -131,7 +132,8 @@ def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms,
     gone = nc.forms[min(big.nums)]
     kept = [e for e in nc.forms if e != gone]
     number = {e: k for k, e in enumerate(kept)}
-    table = form_table(h, kept, number, index_moves(h.tables(), 4))
+    table = form_table(h, kept, lambda e: number.get(e, -1),
+                       index_moves(h.tables(), 4))
     assert any(-1 in m for m in table)
     with pytest.raises(ConsistencyError, match="escaped the enumeration"):
         partition(range(len(kept)), [m.__getitem__ for m in table],
@@ -142,10 +144,12 @@ def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms,
     abs_spec = spec_of(A4, a4_spec.labels, "absolute")
     perm = nielsen._aut_perm(h, abs_spec.aut_gens()[0])
     seed = nc.forms[min(nc.orbits[0])]
-    number = dict(nc.number)
-    del number[h.memo(canonizer, h)(tuple(map(perm.__getitem__, seed)))]
+    gone = h.memo(canonizer, h)(tuple(map(perm.__getitem__, seed)))
+    assert nc.forms.find(gone) >= 0
+    forms = copy.copy(nc.forms)
+    forms.find = lambda e: -1 if e == gone else nc.forms.find(e)
     monkeypatch.setattr(nielsen, "nielsen_class",
-                        lambda spec: nc._replace(number=number))
+                        lambda spec: nc._replace(forms=forms))
     with pytest.raises(ConsistencyError, match="left the enumeration"):
         absolute_class_map(spec_of(A4, a4_spec.labels, "absolute"))
 
@@ -168,19 +172,20 @@ def test_move_table_matches_moves(gspec, eq):
     # of an enumerated form
     spec = spec_of(gspec, ("C+", "C+", "C-", "C-"), eq)
     T = spec.group.tables()
-    nc = nielsen_class(spec.as_inner())
+    nc = spec.memo(nielsen_class, spec.as_inner())
     cmap = None if eq == "inner" else absolute_class_map(spec)
     orbits = all_orbits(spec)
     nums = {k for o in orbits for k in o.nums}
     assert sorted(from_indices(T, nc.forms[k]) for k in nums) == \
         enumerate_tuples(spec)
     for o in orbits:
-        assert o.forms == nc.forms
+        assert o.forms is nc.forms
         for k, move in enumerate(braid_moves(spec)):
             for n in o.nums:
                 image = inner_canonical(spec, move(from_indices(T,
                                                                 o.forms[n])))
-                image = nc.number[T.indices(image.entries)]
+                image = nc.forms.find(T.indices(image.entries))
+                assert image >= 0
                 if cmap is not None:
                     image = cmap[image]
                 assert o.moves[k][n] == image

@@ -6,10 +6,11 @@ import sys
 
 import pytest
 
-from hurwitz import cli
-from hurwitz.groups import GroupHandle, make_group
-from hurwitz.nielsen import NielsenSpec, hm_detect, di_detect
+from hurwitz import cli, nielsen
+from hurwitz.groups import ConsistencyError, GroupHandle, make_group
+from hurwitz.nielsen import NielsenSpec
 from hurwitz.braid import all_orbits
+from oracles import hm_detect, di_detect
 
 A4_SPEC = {"group": {"family": "affine2", "ell": 2, "k": 0, "order": 3},
            "classes": ["C+", "C+", "C-", "C-"],
@@ -122,6 +123,33 @@ def test_exit_codes(tmp_path, a4_file):
                         flag, str(afile)]) == cli.EXIT_CONFIG, flag
 
 
+@pytest.mark.parametrize("family,field,value,rest", [
+    ("affine2", "ell", 0, {"k": 0, "order": 3}),
+    ("affine2", "k", -1, {"ell": 3, "order": 2}),
+    ("dihedral", "m", -3, {}), ("dihedral", "m", 0, {}),
+    ("alternating", "n", 0, {}), ("alternating", "n", 1, {}),
+    ("symmetric", "n", 0, {})])
+def test_out_of_range_family_parameter_is_a_config_error(
+        tmp_path, capsys, family, field, value, rest):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"group": {"family": family,
+                                               field: value, **rest},
+                                     "classes": ["1"] * 3}))
+    assert cli.run(["--spec", str(spec_file), "--cmd", "enumerate"]) == \
+        cli.EXIT_CONFIG
+    assert "%s needs %s >=" % (family, field) in capsys.readouterr().err
+
+
+def test_inconsistency_while_loading_is_internal(a4_file, monkeypatch,
+                                                 capsys):
+    def broken(gspec):
+        raise ConsistencyError("group tables disagree")
+    monkeypatch.setattr(nielsen, "make_group", broken)
+    assert cli.run(["--spec", a4_file]) == cli.EXIT_INTERNAL
+    assert "internal inconsistency: group tables disagree" in \
+        capsys.readouterr().err
+
+
 def test_all_commands_run(tmp_path, a4_file):
     for cmd in cli.COMMANDS:
         out = tmp_path / cmd
@@ -176,16 +204,15 @@ def test_spec_faults_come_before_the_budget(tmp_path, a4_file, capsys):
 
 
 def test_env_overrides(tmp_path, a4_file, monkeypatch):
-    monkeypatch.setenv("HURWITZ_BUDGET", "3")
-    assert cli.run(["--spec", a4_file]) == cli.EXIT_BUDGET
-    monkeypatch.setenv("HURWITZ_BUDGET", "abc")
-    assert cli.run(["--spec", a4_file]) == cli.EXIT_CONFIG
-    monkeypatch.setenv("HURWITZ_BUDGET", "1000000")
+    # the budget and the cache are flags only: the environment sets
+    # neither, and a budget that is no integer is a usage error
     cache = tmp_path / "envcache"
+    monkeypatch.setenv("HURWITZ_BUDGET", "3")
     monkeypatch.setenv("HURWITZ_CACHE", str(cache))
     assert cli.run(["--spec", a4_file, "--cmd", "enumerate",
                     "--out", str(tmp_path / "o")]) == cli.EXIT_OK
-    assert os.path.isdir(str(cache))
+    assert not cache.exists()
+    assert cli.run(["--spec", a4_file, "--budget", "abc"]) == cli.EXIT_CONFIG
 
 
 def test_benchmark_tracer_names_resolve():

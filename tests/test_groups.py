@@ -339,6 +339,8 @@ COSET_CASES = [
     ({"family": "affine2", "ell": 5, "k": 0, "order": 3}, "alpha-cosets"),
     ({"family": "affine2", "ell": 2, "k": 1, "order": 3}, "alpha-cosets"),
     ({"family": "symmetric", "n": 4}, "regular"),
+    ({"family": "alternating", "n": 5}, "natural"),
+    ({"family": "alternating", "n": 6}, "natural"),
 ]
 
 

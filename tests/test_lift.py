@@ -6,16 +6,15 @@ import pytest
 
 from hurwitz.groups import make_group, partition, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
-                             hm_detect, di_detect, pure_cycle_reduce,
-                             enumerate_tuples, cover_genus, from_indices)
-from hurwitz.braid import (BraidOrbit, all_orbits, braid_moves,
-                          component_lattice, orbit, q_untwist)
+                             pure_cycle_reduce, enumerate_tuples,
+                             cover_genus, from_indices)
+from hurwitz.braid import BraidOrbit, all_orbits, component_lattice
 from hurwitz.lift import (lift_invariant, an_spin, orbit_lift_invariant,
-                          normalizer_action_on_lift, obstructed, tower_lift,
-                          level_up, reduce_elem, bcl_data,
-                          component_moduli_degree, _cover_for, _lift_table)
+                          normalizer_action_on_lift, tower_lift, level_up,
+                          reduce_elem, bcl_data, _cover_for, _lift_table)
 from oracles import (serre_formula, di_formula, serre_tuple, di_triple,
-                     mt_parity)
+                     mt_parity, hm_detect, di_detect, braid_moves, orbit,
+                     q_untwist, obstructed, component_moduli_degree)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 A5 = {"family": "alternating", "n": 5}
@@ -382,8 +381,9 @@ def test_tower_lift_matches_per_orbit_selection(spec):
                              "braid orbit escaped the enumeration")
         got = tower_lift(spec, o)
         assert [c.members for c in got] == expected
-        # the same orbit numbered on its own by the BFS
-        assert tower_lift(spec, orbit(spec, o.seed)) == got
+        # the same orbit numbered on its own by the BFS is refused
+        with pytest.raises(ValueError, match="numbered by the class"):
+            tower_lift(spec, orbit(spec, o.seed))
 
 
 def test_spec_memo_is_freed_with_the_spec():

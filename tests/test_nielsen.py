@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz.groups import make_group
-from hurwitz.nielsen import (NielsenSpec, NielsenTuple, is_nielsen,
-                             inner_canonical, absolute_canonical, canonical,
-                             apply_aut, enumerate_tuples, unpinned_enumerate,
-                             absolute_class_map, nielsen_class, from_indices,
-                             cover_genus, hm_detect, di_detect,
+from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
+                             enumerate_tuples, absolute_class_map,
+                             nielsen_class, from_indices, cover_genus,
                              pure_cycle_reduce, canonizer, DEFAULT_BUDGET)
 from hurwitz.groups import BudgetExceeded
+from oracles import (is_nielsen, absolute_canonical, canonical, apply_aut,
+                     unpinned_enumerate, hm_detect, di_detect)
 
 
 def spec_of(gspec, labels, eq="inner", T=None):

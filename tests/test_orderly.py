@@ -77,17 +77,14 @@ def test_orderly_forms_are_the_pinned_canonical_forms(name):
     T = spec.group.tables()
     nc = nielsen_class(spec)
     forms, number, _ = tuple_class(spec)
-    assert nc.forms == forms
+    assert list(nc.forms) == forms
     assert [nc.forms[k] for k in range(len(forms))] == forms
-    assert len(nc.forms) == len(nc.number) == len(forms)
-    assert all(nc.number[e] == nc.number.get(e) == number[e] and
-               e in nc.number for e in forms)
+    assert len(nc.forms) == len(forms)
+    assert all(nc.forms.find(e) == number[e] for e in forms)
     for e in forms:
         moved = next(c for c in (tuple(map(T.conj[z].__getitem__, e))
                                  for z in range(len(T.els))) if c != e)
-        assert nc.number.get(moved, -1) == -1 and moved not in nc.number
-    with pytest.raises(KeyError):
-        nc.number[moved]
+        assert nc.forms.find(moved) == -1
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -95,8 +92,8 @@ def test_derived_twists_are_the_direct_form_table(name):
     spec = spec_of(name)
     h = spec.group
     nc = nielsen_class(spec)
-    assert nc.moves == form_table(h, nc.forms, nc.number,
-                                  index_moves(h.tables(), spec.r))
+    assert list(nc.moves) == form_table(h, nc.forms, nc.forms.find,
+                                        index_moves(h.tables(), spec.r))
     assert len(nc.moves) == spec.r
 
 
@@ -109,7 +106,7 @@ def test_last_twist_meets_a_nontrivial_head_stabilizer():
         spec = spec_of(name)
         nc = nielsen_class(spec)
         last = index_moves(spec.group.tables(), spec.r)[-2]
-        if any(last(e) not in nc.number for e in nc.forms):
+        if any(nc.forms.find(last(e)) < 0 for e in nc.forms):
             moved.append(name)
     assert moved
 
@@ -126,8 +123,8 @@ def test_transported_class_map_is_the_direct_one(name):
         perm = nielsen._aut_perm(h, a)
 
         def direct(k):
-            return nc.number[canon(tuple(map(perm.__getitem__,
-                                             nc.forms[k])))]
+            return nc.forms.find(canon(tuple(map(perm.__getitem__,
+                                                 nc.forms[k]))))
         row = {k: direct(k) for o in nc.orbits for k in o}
         for o in nc.orbits:
             assert transport(o, direct, moves, moves, "escaped") == \
@@ -146,11 +143,11 @@ def test_transported_tower_reduction_is_the_direct_one(name):
     spec = spec_of(name)
     h = spec.group
     child_spec, kids, below = _next_level(spec)
-    number = nielsen_class(spec).number
+    find = nielsen_class(spec).forms.find
     red = _reduction(child_spec.group, h)
     canon = h.memo(canonizer, h)
     assert below == [
-        frozenset(number[canon(tuple(map(red.__getitem__, o.forms[k])))]
+        frozenset(find(canon(tuple(map(red.__getitem__, o.forms[k]))))
                   for k in o.nums) for o in kids]
 
 

@@ -6,10 +6,11 @@ import pytest
 from hurwitz import cli, reduced
 from hurwitz.groups import PSL2, make_group, cen_in_Sn, gl_orders
 from hurwitz.nielsen import NielsenSpec, enumerate_tuples
-from hurwitz.braid import all_orbits, orbit
+from hurwitz.braid import all_orbits
 from hurwitz.reduced import (reduce_orbit, gamma_actions, cusps,
                              reduced_genus, sh_incidence, moduli_checks,
                              wohlfahrt)
+from oracles import orbit
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}

@@ -3,6 +3,8 @@
 import ast
 from pathlib import Path
 
+from hurwitz import braid, groups, lift, nielsen
+
 SRC = Path(__file__).resolve().parent.parent / "src" / "hurwitz"
 
 
@@ -16,3 +18,15 @@ def test_no_assert_in_the_program():
              for node in ast.walk(ast.parse(path.read_text(), str(path)))
              if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_one_engine_in_the_program():
+    # the tuple-level engine lives in tests/oracles.py: the program
+    # computes the orbits once, on the numbered class
+    moved = {braid: "q_untwist sh braid_moves orbit",
+             nielsen: "is_nielsen apply_aut absolute_canonical canonical "
+                      "unpinned_enumerate hm_detect di_detect Number",
+             lift: "obstructed component_moduli_degree",
+             groups: "Automorphism"}
+    assert [(m.__name__, name) for m, names in moved.items()
+            for name in names.split() if hasattr(m, name)] == []

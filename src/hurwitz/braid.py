@@ -7,7 +7,7 @@ from array import array
 from functools import cached_property
 
 from . import nielsen    # one name per memoized class derivation
-from .groups import ConsistencyError, partition
+from .groups import ConsistencyError, orbit_arrays, orbit_ids
 from .nielsen import NielsenTuple, Moves, canonizer, from_indices
 
 
@@ -26,19 +26,21 @@ def q_twist(spec, i, t):
 
 
 class BraidOrbit:
-    """One braid orbit: `nums`, the numbers of its forms; `forms`, the
+    """One braid orbit: `nums`, the numbers of its forms as a sorted
+    array, whose least number `nums[0]` is the seed's; `forms`, the
     nielsen.Forms of the class; and `moves`, for each of q_1..q_{r-1} and
     sh, an array from each number of the class to the number its move
-    lands on.  The orbits of one class share `forms` and `moves`.  The
-    NielsenTuples `members` are built on first use."""
+    lands on.  The orbits of one class share `forms` and `moves`; which
+    orbit holds a number is read off `orbit_index`.  The NielsenTuples
+    `members` are built on first use."""
 
     def __init__(self, spec, nums, forms, moves):
         self.spec = spec
-        self.nums = frozenset(nums)
+        self.nums = nums
         self.forms = forms
         self.moves = moves
-        self.size = len(self.nums)
-        self.seed = from_indices(spec.group.tables(), forms[min(nums)])
+        self.size = len(nums)
+        self.seed = from_indices(spec.group.tables(), forms[nums[0]])
 
     @cached_property
     def members(self):
@@ -62,9 +64,10 @@ def _orbits(spec):
     cmap = spec.memo(nielsen.absolute_class_map, spec)
     moves = Moves([None] * spec.r,
                   lambda _, j: array("i", map(cmap.__getitem__, nc.moves[j])))
+    roots = [k for k, v in enumerate(cmap) if v == k]
     return [BraidOrbit(spec, o, nc.forms, moves) for o in
-            partition(set(cmap) - {-1}, [m.__getitem__ for m in moves[-2:]],
-                      "braid orbit escaped the enumeration")]
+            orbit_arrays(roots, moves[-2:],
+                         "braid orbit escaped the enumeration")]
 
 
 def all_orbits(spec):
@@ -74,6 +77,16 @@ def all_orbits(spec):
     return spec.memo(_orbits, spec)
 
 
+def orbit_index(spec):
+    """The orbit of each number of the inner class, as an array over the
+    numbers: its place in all_orbits(spec), or -1 for a number in no
+    orbit (a non-generating form; for an absolute spec, also a form that
+    is not the least of its automorphism class).  Read through
+    spec.memo, once per spec."""
+    nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
+    return orbit_ids((o.nums for o in all_orbits(spec)), len(nc.forms))
+
+
 def braidable(spec, braid_orbit, a):
     """Is the automorphism a realizable by a braid on this inner orbit of
     all_orbits(spec)?  Testing the seed alone suffices (conjugation
@@ -81,11 +94,15 @@ def braidable(spec, braid_orbit, a):
     in the class, lies in the orbit or not."""
     h = spec.group
     T = h.tables()
-    nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
+    inner = spec.as_inner()
+    nc = spec.memo(nielsen.nielsen_class, inner)
     if braid_orbit.forms is not nc.forms:
         raise ValueError("braidable reads orbits numbered by the class")
-    image = T.indices(a(T.els[x]) for x in nc.forms[min(braid_orbit.nums)])
-    return nc.forms.find(h.memo(canonizer, h)(image)) in braid_orbit.nums
+    seed = braid_orbit.nums[0]
+    image = T.indices(a(T.els[x]) for x in nc.forms[seed])
+    k = nc.forms.find(h.memo(canonizer, h)(image))
+    ids = spec.memo(orbit_index, inner)
+    return k >= 0 and ids[k] == ids[seed]
 
 
 class ComponentLattice:
@@ -110,19 +127,23 @@ def component_lattice(spec):
     cmap = spec.memo(nielsen.absolute_class_map, abs_spec)
 
     # each inner orbit lies over one absolute orbit, and merging the inner
-    # orbits along cmap reproduces the absolute partition
-    abs_of = {k: i for i, o in enumerate(abs_orbits) for k in o.nums}
-    covering, merged = {}, {}
+    # orbits along cmap reproduces the absolute partition: every root of
+    # an inner orbit lies in its one absolute orbit, and every number of
+    # an absolute orbit is a root of some inner orbit
+    abs_of = spec.memo(orbit_index, abs_spec)
+    covering, hit = {}, bytearray(len(cmap))
     for j, o in enumerate(inner_orbits):
-        roots = {cmap[k] for k in o.nums}
-        images = {abs_of[k] for k in roots}
-        if len(images) != 1:
+        images = set()
+        for k in o.nums:
+            root = cmap[k]
+            images.add(abs_of[root] if root >= 0 else -1)
+            hit[root] = 1
+        if len(images) != 1 or -1 in images:
             raise ConsistencyError("inner orbit maps to %d absolute orbits"
-                                   % len(images))
-        covering[j] = i = images.pop()
-        merged.setdefault(i, set()).update(roots)
-    for i, o in enumerate(abs_orbits):
-        if merged.get(i) != o.nums:
+                                   % len(images - {-1}))
+        covering[j] = images.pop()
+    for o in abs_orbits:
+        if not all(map(hit.__getitem__, o.nums)):
             raise ConsistencyError("absolute orbits disagree with the "
                                    "inner-orbit merge")
 

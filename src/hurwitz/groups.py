@@ -20,17 +20,20 @@ tracks the rows a computation touches.  `gens`, `classes`, `class_of`,
 canonical forms, the generation test once per braid orbit, braid and
 automorphism moves) run on its indices.
 
-Every orbit computation runs on three primitives defined here: `closure`
-(BFS set), `partition` (orbits in order of their least member) and
-`cycles` (the cycles of a permutation).
+Every orbit computation runs on the primitives defined here: `closure`
+(BFS set), `orbit_arrays` (the orbits of move arrays, each a sorted array
+of numbers, in order of their least member), `orbit_ids` (the orbit of
+each number) and `cycles` (the cycles of a permutation).
 
 `PSL2(N)`, the group PSL_2(Z/N), is internal to the Wohlfahrt congruence
 test in `reduced`; it is not a `make_group` family.
 """
 
+from array import array
 from functools import cache
 from itertools import permutations, product
 import math
+from operator import itemgetter
 
 
 class ConsistencyError(RuntimeError):
@@ -60,20 +63,52 @@ def closure(start, moves):
     return seen
 
 
-def partition(items, moves, escaped):
-    """The orbits of `moves` on `items`, as frozensets in order of their
-    least member.  An orbit that leaves `items` raises ConsistencyError
-    with the message `escaped`."""
-    left = set(items)
-    orbits = []
-    for t in sorted(left):
-        if t in left:
-            orbit = closure(t, moves)
-            if not orbit <= left:
-                raise ConsistencyError(escaped)
-            left -= orbit
-            orbits.append(frozenset(orbit))
-    return orbits
+def orbit_arrays(items, moves, escaped):
+    """The orbits of the move arrays `moves`, each an array over the
+    numbers 0..n-1, on the sequence of numbers `items`: a BFS over the
+    arrays that marks the numbers in a bytearray.  Each orbit is a sorted
+    array('i'), and they come in order of their least member.  An image
+    of -1, or an image outside `items`, raises ConsistencyError with the
+    message `escaped`."""
+    if not moves:
+        return [array("i", [t]) for t in sorted(items)]
+    n = len(moves[0])
+    mark = bytearray(n)         # 1: in items, not reached; 2: reached
+    for t in items:
+        mark[t] = 1
+    out = []
+    try:
+        for t in items:
+            if mark[t] != 1:
+                continue
+            mark[t] = 2
+            orbit = array("i", [t])
+            for x in orbit:     # the queue grows as it is read
+                for m in moves:
+                    y = m[x]
+                    if y < 0:
+                        raise ConsistencyError(escaped)
+                    s = mark[y]
+                    if s == 1:
+                        mark[y] = 2
+                        orbit.append(y)
+                    elif not s:
+                        raise ConsistencyError(escaped)
+            out.append(array("i", sorted(orbit)))
+    except IndexError:
+        raise ConsistencyError(escaped) from None
+    out.sort(key=itemgetter(0))
+    return out
+
+
+def orbit_ids(orbits, n):
+    """The place in `orbits` of the orbit holding each number, as an array
+    over 0..n-1, with -1 for a number in none."""
+    ids = array("i", [-1]) * n
+    for i, o in enumerate(orbits):
+        for k in o:
+            ids[k] = i
+    return ids
 
 
 def cycles(perm, domain):
@@ -256,15 +291,14 @@ class GroupHandle(Memo):
         cosets, coset_of = self.memo(_cosets, self, T)
         E = self.tables()
         row = E.mul[E.index[g]]
-        perm = [coset_of[row[min(c)]] for c in cosets]
+        perm = [coset_of[row[c[0]]] for c in cosets]
         return len(cycles(perm, range(len(cosets)))), len(cosets)
 
 
 def _cosets(h, T):
     """The cosets xH of H = h.stabilizer(T) on element indices, as the
-    orbits of right multiplication by H's greedy generators, with
-    x g = (g^-1 x^-1)^-1; and the coset number of each element.  Read
-    through h.memo, once per (group, T)."""
+    orbits of right multiplication by H's greedy generators; and the coset
+    number of each element.  Read through h.memo, once per (group, T)."""
     E = h.tables()
     H = set(E.indices(h.stabilizer(T)))
     gens, span = [], {E.e}
@@ -274,14 +308,9 @@ def _cosets(h, T):
             span = closure(E.e, [E.mul[g].__getitem__ for g in gens])
     if span != H:
         raise ConsistencyError("stabilizer(%r) is not a subgroup" % (T,))
-    right = [lambda x, row=E.mul[E.inv[g]]: E.inv[row[E.inv[x]]]
-             for g in gens]
-    cosets = partition(range(h.order), right, "coset escaped the group")
-    coset_of = [None] * h.order
-    for k, c in enumerate(cosets):
-        for x in c:
-            coset_of[x] = k
-    return cosets, coset_of
+    cosets = orbit_arrays(range(h.order), [E.right(g) for g in gens],
+                          "coset escaped the group")
+    return cosets, orbit_ids(cosets, h.order)
 
 
 # ---------------------------------------------------------------------
@@ -388,6 +417,12 @@ class ElementTables:
 
     def indices(self, entries):
         return tuple(map(self.index.__getitem__, entries))
+
+    def right(self, g):
+        """Right multiplication by g as an array over the element indices:
+        x g = (g^-1 x^-1)^-1, from the one `mul` row of g^-1."""
+        inv, row = self.inv, self.mul[self.inv[g]]
+        return array("i", [inv[row[inv[x]]] for x in range(len(inv))])
 
 
 # ---------------------------------------------------------------------
@@ -555,6 +590,8 @@ def unit_gens(m):
     primitive root, where one exists), then each unit outside the span
     of those before it."""
     units = [b for b in range(1, m) if math.gcd(b, m) == 1]
+    if not units:
+        return []           # m = 1: the trivial unit group
 
     def span(gens):
         return closure(1, [lambda x, g=g: x * g % m for g in gens])

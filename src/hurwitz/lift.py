@@ -8,7 +8,7 @@ from .groups import (make_group, central_extension, central_lift,
                      ConsistencyError, closure, cycles)
 from . import nielsen    # one name per memoized class derivation
 from .nielsen import NielsenSpec, canonizer, transport, from_indices
-from .braid import all_orbits
+from .braid import all_orbits, orbit_index
 
 
 def _cover_for(spec):
@@ -91,7 +91,7 @@ def orbit_lift_invariant(spec, orbit):
     h = spec.group
     cov = _cover_for(spec)
     lam, kappa = h.memo(_lift_table, h, cov)
-    seed = orbit.forms[min(orbit.nums)]
+    seed = orbit.forms[orbit.nums[0]]
     # an element's order, and so its lift, is a class function, and every
     # member has the seed's classes
     if None in map(lam.__getitem__, seed):
@@ -171,7 +171,7 @@ def _next_level(spec):
     h = spec.group
     child = level_up(h)
     child_spec = NielsenSpec(child, spec.labels, "inner", spec.T, spec.budget)
-    base_orbits = all_orbits(spec)
+    base_of = spec.memo(orbit_index, spec)
     kids = all_orbits(child_spec)
     nc = spec.memo(nielsen.nielsen_class, spec.as_inner())
     red = child.memo(_reduction, child, h)
@@ -185,7 +185,8 @@ def _next_level(spec):
             o.nums, direct, (o.moves[-2], o.moves[-1]),
             (nc.moves[-2], nc.moves[-1]),
             "child orbit does not reduce into one base orbit").values())
-        if not any(base <= b.nums for b in base_orbits):
+        ids = {base_of[k] for k in base}
+        if len(ids) != 1 or -1 in ids:
             raise ConsistencyError("child orbit does not reduce into one "
                                    "base orbit")
         below.append(base)
@@ -205,7 +206,9 @@ def tower_lift(spec, orbit):
     if orbit.forms is not nc.forms:
         raise ValueError("tower_lift reads orbits numbered by the class")
     child_spec, kids, below = spec.memo(_next_level, spec)
-    out = [o for o, base in zip(kids, below) if base <= orbit.nums]
+    base_of = spec.memo(orbit_index, spec)
+    i = base_of[orbit.nums[0]]
+    out = [o for o, base in zip(kids, below) if base_of[min(base)] == i]
     if h.family == "affine2":
         base_val = orbit_lift_invariant(spec, orbit)
         for o in out:

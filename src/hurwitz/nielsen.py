@@ -27,7 +27,7 @@ from itertools import chain, groupby, islice, product, permutations
 from typing import NamedTuple
 
 from .groups import (Memo, make_group, ConsistencyError, BudgetExceeded,
-                     partition, cycles)
+                     orbit_arrays, cycles)
 
 
 class NielsenTuple(NamedTuple):
@@ -301,11 +301,14 @@ class Forms(Sequence):
 class Moves(Sequence):
     """The move arrays of a numbering, for q_1..q_{r-1} and sh.  `made`
     holds the arrays built so far and None for the rest; make(moves, j)
-    builds move j when it is first read."""
+    builds move j when it is first read.  `inverse(j)` is the inverse
+    array of move j: those given in `inverses` (move index -> array), the
+    rest made by _check_permutation when first read."""
 
-    def __init__(self, made, make):
+    def __init__(self, made, make, inverses=()):
         self.made = made
         self._make = make
+        self._inverses = dict(inverses)
 
     def __len__(self):
         return len(self.made)
@@ -317,6 +320,14 @@ class Moves(Sequence):
         if m is None:
             m = self.made[j] = self._make(self, j % len(self.made))
         return m
+
+    def inverse(self, j):
+        j %= len(self.made)
+        inv = self._inverses.get(j)
+        if inv is None:
+            inv = self._inverses[j] = _check_permutation(self[j], "move %d"
+                                                         % j)
+        return inv
 
 
 def _check_permutation(row, what):
@@ -344,7 +355,8 @@ class NielsenClass(NamedTuple):
     generating braid orbits."""
     forms: Forms        # number -> canonical index tuple, packed
     moves: Moves        # per q_1..q_{r-1} and sh, a permutation of numbers
-    orbits: list        # the generating braid orbits, frozensets of numbers
+    orbits: list        # the generating braid orbits, sorted arrays of
+                        # numbers in order of their least member
 
 
 def _last_twist(h, forms):
@@ -396,22 +408,26 @@ def nielsen_class(spec):
     T = h.tables()
     forms = Forms(T, spec.r, _orderly_forms(spec))
     canon, find, cols = h.memo(canonizer, h), forms.find, forms.cols
-    # zip(cols[1:], cols[0]) iterates the shifted forms
-    shift = array("i", [find(canon(e)) for e in zip(*cols[1:], cols[0])])
+    # zip(cols[1:], cols[0]) iterates the shifted forms; filled in chunks,
+    # so that no list of the whole array is built
+    shift = array("i")
+    shifted = map(find, map(canon, zip(*cols[1:], cols[0])))
+    while chunk := list(islice(shifted, 1 << 14)):
+        shift.fromlist(chunk)
     last = _last_twist(h, forms)
-    _check_permutation(last, "q_%d" % (spec.r - 1))
-    unshift = _check_permutation(shift, "sh")
+    r = spec.r
+    inverses = {r - 2: _check_permutation(last, "q_%d" % (r - 1)),
+                r - 1: _check_permutation(shift, "sh")}
 
     def twist(moves, j):
         q = moves[j + 1]
-        return array("i", [shift[q[u]] for u in unshift])
-    moves = Moves([None] * (spec.r - 2) + [last, shift], twist)
-    orbits = partition(range(len(forms)),
-                       [last.__getitem__, shift.__getitem__],
-                       "braid orbit escaped the enumeration")
+        return array("i", [shift[q[u]] for u in moves.inverse(-1)])
+    moves = Moves([None] * (r - 2) + [last, shift], twist, inverses)
+    orbits = orbit_arrays(range(len(forms)), [last, shift],
+                          "braid orbit escaped the enumeration")
     return NielsenClass(forms, moves, [
         o for o in orbits
-        if h.generates([T.els[i] for i in forms[min(o)]])])
+        if h.generates([T.els[i] for i in forms[o[0]]])])
 
 
 def enumerate_tuples(spec):
@@ -429,15 +445,15 @@ def enumerate_tuples(spec):
 
 def transport(nums, direct, source, target, escaped):
     """The map `direct` (a number -> the number of its image) on the braid
-    orbit `nums`, for a map that commutes with the braid moves: `direct`
-    at the orbit's least number, carried over the orbit by a BFS along
-    the paired move arrays, img[m[x]] = m'[img[x]] for each (m, m') of
-    zip(source, target), and checked by `direct` once more at the
-    orbit's largest number.  Returns {number: image}.  A negative image
-    raises ConsistencyError with the message `escaped`; so do two paths
-    giving one form different images, a BFS that misses part of `nums`
-    and a failed check."""
-    seed = min(nums)
+    orbit `nums`, a sorted array, for a map that commutes with the braid
+    moves: `direct` at the orbit's least number, carried over the orbit
+    by a BFS along the paired move arrays, img[m[x]] = m'[img[x]] for
+    each (m, m') of zip(source, target), and checked by `direct` once
+    more at the orbit's largest number.  Returns {number: image}.  A
+    negative image raises ConsistencyError with the message `escaped`; so
+    do two paths giving one form different images, a BFS that reaches
+    other numbers than `nums` and a failed check."""
+    seed = nums[0]
     img = {seed: direct(seed)}
     if img[seed] < 0:
         raise ConsistencyError(escaped)
@@ -452,8 +468,9 @@ def transport(nums, direct, source, target, escaped):
             elif img[y] != v:
                 raise ConsistencyError("transported map does not commute "
                                        "with the braid moves")
-    check = max(nums)
-    if img.keys() != nums or img[check] != direct(check):
+    check = nums[-1]
+    if (len(img) != len(nums) or not all(map(img.__contains__, nums))
+            or img[check] != direct(check)):
         raise ConsistencyError("transported map disagrees with its direct "
                                "canonicalization")
     return img
@@ -471,7 +488,6 @@ def absolute_class_map(spec):
     nc = spec.memo(nielsen_class, spec.as_inner())
     canon = h.memo(canonizer, h)
     moves = (nc.moves[-2], nc.moves[-1])
-    nums = [k for o in nc.orbits for k in o]
     table = []
     for a in spec.aut_gens():
         p = h.memo(_aut_perm, h, a)
@@ -486,9 +502,9 @@ def absolute_class_map(spec):
                 row[k] = v
         table.append(row)
     cmap = array("i", [-1]) * len(nc.forms)
-    for o in partition(nums, [m.__getitem__ for m in table],
-                       "automorphism orbit left the enumeration"):
-        rep = min(o)
+    for o in orbit_arrays(array("i", chain.from_iterable(nc.orbits)), table,
+                          "automorphism orbit left the enumeration"):
+        rep = o[0]
         for k in o:
             cmap[k] = rep
     return cmap

@@ -12,31 +12,35 @@ raises ConsistencyError rather than warning.
 """
 
 import math
+from array import array
 from functools import cache, cached_property
 
+from . import nielsen    # one name per memoized class derivation
 from .groups import (PSL2, ConsistencyError, gl_orders, cen_in_Sn, closure,
-                     partition, cycles)
-from .nielsen import canonizer, index_moves
+                     orbit_arrays, orbit_ids, cycles)
+from .nielsen import Moves, canonizer, index_moves
 
 PSL2_LIMIT = 2000       # largest |PSL2(Z/N)| the Sylow test builds
 
 
 class ReducedClass:
     """Q''-orbit data over one braid orbit (the reduced component), on the
-    numbers of its forms.  `sh2` and `q1q3i` are the generators sh^2 and
-    q1 q3^{-1} of Q'' as dicts on the orbit's numbers; `gammas`, `cusps`
-    and `fixed_points` are derived once, on first use."""
+    numbers of its forms.  `sh2` and `q1q3i`, the generators sh^2 and
+    q1 q3^{-1} of Q'', and `rep_of`, the least number of each form's Q''
+    orbit, are arrays over the numbers of the whole class, shared by its
+    orbits (see _qq_moves); `qq_orbits` maps each rep to the sorted array
+    of its Q'' orbit.  `gammas`, `cusps` and `fixed_points` are derived
+    once, on first use."""
 
-    def __init__(self, spec, orbit, qq_orbits, sh2, q1q3i):
+    def __init__(self, spec, orbit, qq_orbits, sh2, q1q3i, rep_of):
         self.spec = spec
         self.orbit = orbit
-        self.qq_orbits = qq_orbits              # rep -> frozenset
+        self.qq_orbits = qq_orbits              # rep -> array
         self.sh2 = sh2
         self.q1q3i = q1q3i
+        self.rep_of = rep_of
         self.reps = sorted(qq_orbits)
         self.degree = len(self.reps)
-        self.rep_of = {k: rep for rep, members in qq_orbits.items()
-                       for k in members}.__getitem__
 
     @cached_property
     def gammas(self):
@@ -53,25 +57,44 @@ class ReducedClass:
                      for g in self.gammas[:2])
 
 
+def _qq_moves(moves):
+    """(sh2, q1q3i, rep_of) over the numbers of the move arrays `moves`:
+    sh^2 and q1 q3^{-1}, that is q3^{-1} after q1, as arrays composed from
+    the moves and the inverse of q3, which the class keeps; and the array
+    that reduce_orbit fills with each form's rep, orbit by orbit (-1
+    until then).  The class's are read through spec.memo, once per
+    spec."""
+    if not isinstance(moves, Moves):
+        moves = Moves(list(moves), None)    # an orbit numbered on its own
+    q1, shift, q3inv = moves[0], moves[-1], moves.inverse(2)
+    return (array("i", map(shift.__getitem__, shift)),
+            array("i", map(q3inv.__getitem__, q1)),
+            array("i", [-1]) * len(shift))
+
+
 def reduce_orbit(orbit):
-    """Partition a braid orbit into Q''-orbits, read from its move
-    arrays."""
+    """Partition a braid orbit into Q''-orbits, from the arrays of sh^2
+    and q1 q3^{-1} over its numbering: each Q'' orbit a sorted array,
+    keyed by its least number, its rep, which is also written into
+    `rep_of` for each of its numbers."""
     spec = orbit.spec
     if spec.r != 4:
         raise ValueError("reduced classes need r = 4")
     if spec.equivalence != "inner":
         raise ValueError("reduction acts on inner classes")
-    q1, _, q3, shift = orbit.moves
-    q3inv = {q3[k]: k for k in orbit.nums}
-    sh2 = {k: shift[shift[k]] for k in orbit.nums}
-    q1q3i = {k: q3inv[q1[k]] for k in orbit.nums}
+    if orbit.moves is spec.memo(nielsen.nielsen_class, spec).moves:
+        sh2, q1q3i, rep_of = spec.memo(_qq_moves, orbit.moves)
+    else:
+        sh2, q1q3i, rep_of = _qq_moves(orbit.moves)
     qq = {}
-    for o in partition(orbit.nums, [sh2.__getitem__, q1q3i.__getitem__],
-                       "Q'' orbit escaped the braid orbit"):
+    for o in orbit_arrays(orbit.nums, [sh2, q1q3i],
+                          "Q'' orbit escaped the braid orbit"):
         if len(o) not in (1, 2, 4):
             raise ConsistencyError("Q'' orbit of size %d" % len(o))
-        qq[min(o)] = o
-    return ReducedClass(spec, orbit, qq, sh2, q1q3i)
+        qq[rep := o[0]] = o
+        for k in o:
+            rep_of[k] = rep
+    return ReducedClass(spec, orbit, qq, sh2, q1q3i, rep_of)
 
 
 def gamma_actions(rc):
@@ -80,9 +103,9 @@ def gamma_actions(rc):
     arrays; verifies the j-line relations
     gamma_0^3 = gamma_1^2 = gamma_0 gamma_1 gamma_infty = 1."""
     q1, q2 = rc.orbit.moves[:2]
-    g0 = {t: rc.rep_of(q2[q1[t]]) for t in rc.reps}
-    g1 = {t: rc.rep_of(q1[q2[q1[t]]]) for t in rc.reps}
-    gi = {t: rc.rep_of(q2[t]) for t in rc.reps}
+    g0 = {t: rc.rep_of[q2[q1[t]]] for t in rc.reps}
+    g1 = {t: rc.rep_of[q1[q2[q1[t]]]] for t in rc.reps}
+    gi = {t: rc.rep_of[q2[t]] for t in rc.reps}
     for t in rc.reps:
         if g0[g0[g0[t]]] != t or g1[g1[t]] != t:
             raise ConsistencyError("gamma_0/gamma_1 orders wrong")
@@ -208,7 +231,7 @@ def sh_incidence(rc):
     cusp_list = rc.cusps
     shift = rc.orbit.moves[-1]
     sets = [set(c.reps) for c in cusp_list]
-    sh_sets = [{rc.rep_of(shift[t]) for t in s} for s in sets]
+    sh_sets = [{rc.rep_of[shift[t]] for t in s} for s in sets]
     M = [[len(s & t) for t in sh_sets] for s in sets]
     if M != [list(col) for col in zip(*M)]:
         raise ConsistencyError("sh-incidence matrix not symmetric")
@@ -306,11 +329,10 @@ def _psl2_sylow_cusp_type(N, sub):
         raise ConsistencyError("PSL2(Z/%d) p-subgroup of order %d is not "
                                "in a Sylow subgroup of order %d"
                                % (N, len(H), sub))
-    # the cosets xH, with x g = (g^-1 x^-1)^-1 for H's generators g
-    right = [lambda x, row=T.mul[T.inv[g]]: T.inv[row[T.inv[x]]]
-             for g in gens]
-    cosets = partition(range(h.order), right, "coset escaped PSL2")
-    coset_of = {x: k for k, c in enumerate(cosets) for x in c}
+    # the cosets xH, the orbits of right multiplication by H's generators
+    cosets = orbit_arrays(range(h.order), [T.right(g) for g in gens],
+                          "coset escaped PSL2")
+    coset_of = orbit_ids(cosets, h.order)
     t = T.mul[T.index[(1, 1, 0, 1)]]
-    perm = [coset_of[t[min(c)]] for c in cosets]
+    perm = [coset_of[t[c[0]]] for c in cosets]
     return sorted(map(len, cycles(perm, range(len(cosets)))))

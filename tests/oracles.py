@@ -1,8 +1,9 @@
-"""References for hurwitz, used by the tests only: the tuple-level engine
-(braid moves on NielsenTuples, the BFS orbit, canonical forms, brute
-enumeration, the Nielsen predicate and shape tests); the numbered class
-as a tuple list and a dict, the reference for the packed class; and
-closed-form lift values, cross-checks for hurwitz.lift."""
+"""References for hurwitz, used by the tests only: the set-based orbit
+partition; the tuple-level engine (braid moves on NielsenTuples, the BFS
+orbit, canonical forms, brute enumeration, the Nielsen predicate and
+shape tests); the numbered class as a tuple list and a dict, the
+reference for the packed class; and closed-form lift values,
+cross-checks for hurwitz.lift."""
 
 from array import array
 from itertools import permutations, product
@@ -12,6 +13,25 @@ from hurwitz.groups import ConsistencyError, closure
 from hurwitz.lift import lift_moduli_degree, orbit_lift_invariant
 from hurwitz.nielsen import (NielsenTuple, Forms, canonizer, from_indices,
                              index_moves, inner_canonical)
+
+
+# ---------------------------------------------------------------------
+# the set-based orbit partition, the oracle of groups.orbit_arrays
+
+def partition(items, moves, escaped):
+    """The orbits of `moves` (maps, called on an item) on `items`, as
+    frozensets in order of their least member.  An orbit that leaves
+    `items` raises ConsistencyError with the message `escaped`."""
+    left = set(items)
+    orbits = []
+    for t in sorted(left):
+        if t in left:
+            orbit = closure(t, moves)
+            if not orbit <= left:
+                raise ConsistencyError(escaped)
+            left -= orbit
+            orbits.append(frozenset(orbit))
+    return orbits
 
 
 # ---------------------------------------------------------------------

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz import nielsen
-from hurwitz.groups import (make_group, partition, ConsistencyError,
-                            BudgetExceeded)
+from hurwitz.groups import make_group, ConsistencyError, BudgetExceeded
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                              enumerate_tuples, absolute_class_map,
                              nielsen_class, index_moves, from_indices,
@@ -14,7 +13,7 @@ from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
 from hurwitz.braid import (q_twist, all_orbits, braidable,
                            component_lattice)
 from oracles import (form_table, q_untwist, sh, braid_moves, orbit,
-                     is_nielsen, apply_aut)
+                     is_nielsen, apply_aut, partition)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}

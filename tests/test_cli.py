@@ -111,6 +111,13 @@ def test_exit_codes(tmp_path, a4_file):
     assert cli.run(["--spec", a4_file, "--budget", "3"]) == cli.EXIT_BUDGET
     assert cli.run(["--spec", a4_file, "--budget", "-1"]) == cli.EXIT_CONFIG
     assert cli.run(["--spec", a4_file, "--cmd", "bogus"]) == cli.EXIT_CONFIG
+    # the trivial dihedral group, whose unit group (Z/1)^x has no
+    # generators: an empty class, not a config error
+    trivial = tmp_path / "trivial.json"
+    trivial.write_text(json.dumps({"group": {"family": "dihedral", "m": 1},
+                                   "classes": ["1", "1", "1"]}))
+    assert cli.run(["--spec", str(trivial), "--cmd", "report", "--out",
+                    str(tmp_path / "trivial")]) == cli.EXIT_OK
     # removed options are rejected by the parser
     assert cli.run(["--spec", a4_file, "--jobs", "2"]) == cli.EXIT_CONFIG
     assert cli.run(["--spec", a4_file, "--format", "text"]) == \

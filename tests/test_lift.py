@@ -4,7 +4,7 @@ import weakref
 
 import pytest
 
-from hurwitz.groups import make_group, partition, ConsistencyError
+from hurwitz.groups import make_group, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                              pure_cycle_reduce, enumerate_tuples,
                              cover_genus, from_indices)
@@ -14,7 +14,8 @@ from hurwitz.lift import (lift_invariant, an_spin, orbit_lift_invariant,
                           reduce_elem, bcl_data, _cover_for, _lift_table)
 from oracles import (serre_formula, di_formula, serre_tuple, di_triple,
                      mt_parity, hm_detect, di_detect, braid_moves, orbit,
-                     q_untwist, obstructed, component_moduli_degree)
+                     q_untwist, obstructed, component_moduli_degree,
+                     partition)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 A5 = {"family": "alternating", "n": 5}

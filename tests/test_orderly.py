@@ -10,12 +10,12 @@ import tracemalloc
 import pytest
 
 from hurwitz import nielsen
-from hurwitz.groups import make_group, partition, ConsistencyError
+from hurwitz.groups import make_group, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, nielsen_class, absolute_class_map,
                              index_moves, canonizer, transport)
 from hurwitz.braid import all_orbits, component_lattice
 from hurwitz.lift import _next_level, _reduction, level_up, tower_lift
-from oracles import form_table, tuple_class
+from oracles import form_table, tuple_class, partition
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 DI7 = {"family": "affine2", "ell": 7, "k": 0, "order": 3}

@@ -37,16 +37,18 @@ def a4_reduced(a4_orbits):
 
 def test_qq_is_klein_four(a4_spec, a4_reduced):
     # the Q'' maps of the move arrays, over the numbers of all A4 forms:
-    # sh^2 and q1 q3^-1 are commuting involutions
+    # sh^2 and q1 q3^-1 are commuting involutions, each mapping the orbit
+    # onto itself
     seen = set()
     for rc in a4_reduced.values():
-        sh2, q1q3i = rc.sh2, rc.q1q3i
-        for k in rc.orbit.nums:
+        sh2, q1q3i, nums = rc.sh2, rc.q1q3i, rc.orbit.nums
+        for k in nums:
             a, b = sh2[k], q1q3i[k]
             assert sh2[a] == k
             assert q1q3i[b] == k
             assert sh2[b] == q1q3i[a]
-        assert set(sh2) == set(q1q3i) == rc.orbit.nums
+        assert sorted(map(sh2.__getitem__, nums)) == \
+            sorted(map(q1q3i.__getitem__, nums)) == list(nums)
         seen |= rc.orbit.members
     assert seen == set(enumerate_tuples(a4_spec))
 
@@ -67,16 +69,16 @@ def test_qq_orbits_partition(a4_reduced):
     for rc in a4_reduced.values():
         total = sum(len(m) for m in rc.qq_orbits.values())
         assert total == rc.orbit.size
-        assert set().union(*rc.qq_orbits.values()) == rc.orbit.nums
+        assert set().union(*rc.qq_orbits.values()) == set(rc.orbit.nums)
         for rep, members in rc.qq_orbits.items():
             assert rep == min(members)
             for t in members:
-                assert rc.rep_of(t) == rep
+                assert rc.rep_of[t] == rep
 
 
 def test_gamma_actions_are_bijections(a4_reduced):
     for rc in a4_reduced.values():
-        assert set(rc.reps) <= rc.orbit.nums
+        assert set(rc.reps) <= set(rc.orbit.nums)
         for g in gamma_actions(rc):
             assert sorted(g) == sorted(g.values()) == rc.reps
 

@@ -21,12 +21,13 @@ def test_no_assert_in_the_program():
 
 
 def test_one_engine_in_the_program():
-    # the tuple-level engine lives in tests/oracles.py: the program
-    # computes the orbits once, on the numbered class
+    # the tuple-level engine and the set-based partition live in
+    # tests/oracles.py: the program computes the orbits once, on the
+    # numbered class, with groups.orbit_arrays
     moved = {braid: "q_untwist sh braid_moves orbit",
              nielsen: "is_nielsen apply_aut absolute_canonical canonical "
                       "unpinned_enumerate hm_detect di_detect Number",
              lift: "obstructed component_moduli_degree",
-             groups: "Automorphism"}
+             groups: "Automorphism partition"}
     assert [(m.__name__, name) for m, names in moved.items()
             for name in names.split() if hasattr(m, name)] == []

@@ -15,32 +15,30 @@ import math
 from array import array
 from functools import cache, cached_property
 
-from . import nielsen    # one name per memoized class derivation
 from .groups import (PSL2, ConsistencyError, gl_orders, cen_in_Sn, closure,
                      orbit_arrays, orbit_ids, cycles)
-from .nielsen import Moves, canonizer, index_moves
+from .nielsen import canonizer, index_moves
 
 PSL2_LIMIT = 2000       # largest |PSL2(Z/N)| the Sylow test builds
 
 
 class ReducedClass:
     """Q''-orbit data over one braid orbit (the reduced component), on the
-    numbers of its forms.  `sh2` and `q1q3i`, the generators sh^2 and
-    q1 q3^{-1} of Q'', and `rep_of`, the least number of each form's Q''
-    orbit, are arrays over the numbers of the whole class, shared by its
-    orbits (see _qq_moves); `qq_orbits` maps each rep to the sorted array
-    of its Q'' orbit.  `gammas`, `cusps` and `fixed_points` are derived
-    once, on first use."""
+    numbers of its forms.  `reps` is the sorted array of the least numbers
+    of its Q'' orbits.  `sh2` and `q1q3i`, the generators sh^2 and
+    q1 q3^{-1} of Q''; `rep_of`, the rep of each form's Q'' orbit; and
+    `gamma_arrays`, gamma_0, gamma_1 and gamma_infty at the reps, are
+    arrays over the numbers of the whole class, shared by its orbits (see
+    _qq_moves).  `gammas` (the gamma arrays, filled and checked),
+    `cusps` and `fixed_points` are derived once, on first use."""
 
-    def __init__(self, spec, orbit, qq_orbits, sh2, q1q3i, rep_of):
+    def __init__(self, spec, orbit, reps, arrays):
         self.spec = spec
         self.orbit = orbit
-        self.qq_orbits = qq_orbits              # rep -> array
-        self.sh2 = sh2
-        self.q1q3i = q1q3i
-        self.rep_of = rep_of
-        self.reps = sorted(qq_orbits)
-        self.degree = len(self.reps)
+        self.reps = reps
+        self.degree = len(reps)
+        self.sh2, self.q1q3i, self.rep_of = arrays[:3]
+        self.gamma_arrays = arrays[3:]
 
     @cached_property
     def gammas(self):
@@ -58,55 +56,57 @@ class ReducedClass:
 
 
 def _qq_moves(moves):
-    """(sh2, q1q3i, rep_of) over the numbers of the move arrays `moves`:
-    sh^2 and q1 q3^{-1}, that is q3^{-1} after q1, as arrays composed from
-    the moves and the inverse of q3, which the class keeps; and the array
-    that reduce_orbit fills with each form's rep, orbit by orbit (-1
-    until then).  The class's are read through spec.memo, once per
-    spec."""
-    if not isinstance(moves, Moves):
-        moves = Moves(list(moves), None)    # an orbit numbered on its own
+    """The class arrays of the reduction over the numbers of the move
+    arrays `moves`, read through spec.memo once per numbering: sh^2 and
+    q1 q3^{-1}, that is q3^{-1} after q1, composed from the moves and the
+    inverse of q3, which the class keeps; then rep_of, gamma_0, gamma_1
+    and gamma_infty, which reduce_orbit and gamma_actions fill orbit by
+    orbit (-1 until then)."""
     q1, shift, q3inv = moves[0], moves[-1], moves.inverse(2)
     return (array("i", map(shift.__getitem__, shift)),
             array("i", map(q3inv.__getitem__, q1)),
-            array("i", [-1]) * len(shift))
+            *(array("i", [-1]) * len(shift) for _ in range(4)))
 
 
 def reduce_orbit(orbit):
     """Partition a braid orbit into Q''-orbits, from the arrays of sh^2
-    and q1 q3^{-1} over its numbering: each Q'' orbit a sorted array,
-    keyed by its least number, its rep, which is also written into
-    `rep_of` for each of its numbers."""
+    and q1 q3^{-1} over its numbering: each Q'' orbit's least number, its
+    rep, is written into `rep_of` for each of its numbers."""
     spec = orbit.spec
     if spec.r != 4:
         raise ValueError("reduced classes need r = 4")
     if spec.equivalence != "inner":
         raise ValueError("reduction acts on inner classes")
-    if orbit.moves is spec.memo(nielsen.nielsen_class, spec).moves:
-        sh2, q1q3i, rep_of = spec.memo(_qq_moves, orbit.moves)
-    else:
-        sh2, q1q3i, rep_of = _qq_moves(orbit.moves)
-    qq = {}
-    for o in orbit_arrays(orbit.nums, [sh2, q1q3i],
+    arrays = spec.memo(_qq_moves, orbit.moves)
+    rep_of, reps = arrays[2], array("i")
+    for o in orbit_arrays(orbit.nums, arrays[:2],
                           "Q'' orbit escaped the braid orbit"):
         if len(o) not in (1, 2, 4):
             raise ConsistencyError("Q'' orbit of size %d" % len(o))
-        qq[rep := o[0]] = o
+        reps.append(rep := o[0])
         for k in o:
             rep_of[k] = rep
-    return ReducedClass(spec, orbit, qq, sh2, q1q3i, rep_of)
+    return ReducedClass(spec, orbit, reps, arrays)
 
 
 def gamma_actions(rc):
     """gamma_0 = q1 q2, gamma_1 = q1 q2 q1, gamma_infty = q2 as
     permutations of the reduced representatives, read from the move
-    arrays; verifies the j-line relations
+    arrays into the class arrays at the reps; verifies that each is a
+    permutation of the reps (a -1 read off rep_of would index from the
+    end) and the j-line relations
     gamma_0^3 = gamma_1^2 = gamma_0 gamma_1 gamma_infty = 1."""
     q1, q2 = rc.orbit.moves[:2]
-    g0 = {t: rc.rep_of[q2[q1[t]]] for t in rc.reps}
-    g1 = {t: rc.rep_of[q1[q2[q1[t]]]] for t in rc.reps}
-    gi = {t: rc.rep_of[q2[t]] for t in rc.reps}
-    for t in rc.reps:
+    rep_of, reps = rc.rep_of, rc.reps
+    g0, g1, gi = rc.gamma_arrays
+    for t in reps:
+        x = q2[q1[t]]
+        g0[t], g1[t], gi[t] = rep_of[x], rep_of[q1[x]], rep_of[q2[t]]
+    for g in rc.gamma_arrays:
+        if array("i", sorted(map(g.__getitem__, reps))) != reps:
+            raise ConsistencyError("gamma action not a permutation of "
+                                   "the reduced reps")
+    for t in reps:
         if g0[g0[g0[t]]] != t or g1[g1[t]] != t:
             raise ConsistencyError("gamma_0/gamma_1 orders wrong")
         if gi[g1[g0[t]]] != t:
@@ -122,7 +122,7 @@ class CuspOrbit:
         self.v = v                # q2-orbit length on inner classes
         self.f = f                # Q'' shortening: width * f = v
         self.raw_v = raw_v        # q2-orbit length on raw tuples
-        self.label = label        # (u, width, a)
+        self.label = label        # (u, width, a): a its place in sort order
 
     def __repr__(self):
         return "Cusp(u=%d,width=%d,f=%d)" % (self.u, self.width, self.f)
@@ -163,8 +163,8 @@ def cusps(rc):
     forms = rc.orbit.forms
     q2 = rc.orbit.moves[1]
     raw_q2 = index_moves(h.tables(), 4)[1]
-    out = []
-    for a, cyc in enumerate(cycles(rc.gammas[2], rc.reps)):
+    rows = []
+    for cyc in cycles(rc.gammas[2], rc.reps):
         width = len(cyc)
         t = min(cyc)
         # q2 orbit of the inner class t
@@ -192,12 +192,10 @@ def cusps(rc):
             raise ConsistencyError(
                 "shortening f=%d inconsistent: width %d * f != v %d"
                 % (f, width, vlen))
-        out.append(CuspOrbit(sorted(cyc), width, u, vlen, f, raw_v,
-                             (u, width, a)))
-    out.sort(key=lambda c: (c.u, c.width, min(c.reps)))
-    for a, c in enumerate(out):
-        c.label = (c.u, c.width, a)
-    return out
+        rows.append((u, width, t, sorted(cyc), vlen, f, raw_v))
+    rows.sort()     # by (u, width, least rep); the least reps are distinct
+    return [CuspOrbit(reps, width, u, v, f, raw_v, (u, width, a))
+            for a, (u, width, _, reps, v, f, raw_v) in enumerate(rows)]
 
 
 def reduced_genus(rc):
@@ -250,7 +248,7 @@ def _fine(spec):
 
 def moduli_checks(spec, rc):
     """Fine-moduli style report for one reduced component."""
-    free_qq = all(len(m) == 4 for m in rc.qq_orbits.values())
+    free_qq = rc.orbit.size == 4 * rc.degree
     t0, t1 = rc.fixed_points
     return {**spec.memo(_fine, spec), "qq_free": free_qq,
             "bfine": free_qq and t0 == 0 and t1 == 0,

@@ -11,8 +11,8 @@ from itertools import permutations, product
 from hurwitz.braid import BraidOrbit, q_twist
 from hurwitz.groups import ConsistencyError, closure
 from hurwitz.lift import lift_moduli_degree, orbit_lift_invariant
-from hurwitz.nielsen import (NielsenTuple, Forms, canonizer, from_indices,
-                             index_moves, inner_canonical)
+from hurwitz.nielsen import (NielsenTuple, Forms, Moves, canonizer,
+                             from_indices, index_moves, inner_canonical)
 
 
 # ---------------------------------------------------------------------
@@ -101,7 +101,7 @@ def canonical(spec, t):
 
 def orbit(spec, seed):
     """Braid orbit of a canonical seed (BFS under q_i, sh, re-canonicalized
-    after every move), numbered on its own in form order; its move arrays
+    after every move), numbered on its own in form order; its nielsen.Moves
     record each move the BFS makes."""
     if canonical(spec, seed) != seed:
         raise ValueError("seed is not canonical")
@@ -113,8 +113,8 @@ def orbit(spec, seed):
     T = spec.group.tables()
     forms = Forms(T, spec.r, (T.indices(t.entries) for t in members))
     return BraidOrbit(spec, range(len(members)), forms,
-                      [array("i", [number[d[t]] for t in members])
-                       for d in table])
+                      Moves([array("i", [number[d[t]] for t in members])
+                             for d in table], None))
 
 
 def unpinned_enumerate(spec):

@@ -163,10 +163,9 @@ def test_criterion_3_hm_di():
             for o in all_orbits(spec):
                 rc = reduce_orbit(o)
                 for c in cusps(rc):
-                    members = set()
-                    for r in c.reps:
-                        members |= {from_indices(T, o.forms[k])
-                                    for k in rc.qq_orbits[r]}
+                    reps = set(c.reps)
+                    members = {from_indices(T, o.forms[k]) for k in o.nums
+                               if rc.rep_of[k] in reps}
                     has_hm = any(hm_detect(spec, t) for t in members)
                     has_di = any(di_detect(spec, t) for t in members)
                     assert not (has_hm and has_di)

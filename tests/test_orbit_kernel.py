@@ -95,7 +95,8 @@ def test_qq_arrays_of_every_a4_orbit():
     for o in all_orbits(di_spec(2)):
         rc = reduce_orbit(o)
         qq = agree(o.nums, [rc.sh2, rc.q1q3i])
-        assert qq == list(rc.qq_orbits.values())
+        assert list(rc.reps) == [m[0] for m in qq]
+        assert all(rc.rep_of[k] == m[0] for m in qq for k in m)
 
 
 @pytest.mark.parametrize("gspec,T", COSET_CASES)
@@ -140,5 +141,7 @@ def test_orbits_are_sorted_arrays_with_their_index():
             assert sh2[b] == q1q3i[a]
         assert sorted(map(sh2.__getitem__, o.nums)) == \
             sorted(map(q1q3i.__getitem__, o.nums)) == list(o.nums)
-        assert all(rc.rep_of[k] == rep for rep, m in rc.qq_orbits.items()
-                   for k in m)
+        assert all(rc.rep_of[rc.rep_of[k]] == rc.rep_of[k] <= k
+                   for k in o.nums)
+        assert sorted(set(map(rc.rep_of.__getitem__, o.nums))) == \
+            list(rc.reps)

@@ -1,16 +1,18 @@
 import hashlib
 import json
+from array import array
 
 import pytest
 
 from hurwitz import cli, reduced
-from hurwitz.groups import PSL2, make_group, cen_in_Sn, gl_orders
+from hurwitz.groups import (PSL2, ConsistencyError, make_group, cen_in_Sn,
+                            gl_orders)
 from hurwitz.nielsen import NielsenSpec, enumerate_tuples
 from hurwitz.braid import all_orbits
 from hurwitz.reduced import (reduce_orbit, gamma_actions, cusps,
                              reduced_genus, sh_incidence, moduli_checks,
                              wohlfahrt)
-from oracles import orbit
+from oracles import orbit, partition
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}
@@ -65,22 +67,25 @@ def test_a4_reduced_degrees(a4_reduced):
     assert a4_reduced[12].degree == 6
 
 
-def test_qq_orbits_partition(a4_reduced):
+def test_qq_partition(a4_reduced):
+    # rep_of and reps record the Q'' partition: the oracle's orbits of
+    # (sh^2, q1 q3^-1) on the braid orbit, each under its least number
     for rc in a4_reduced.values():
-        total = sum(len(m) for m in rc.qq_orbits.values())
-        assert total == rc.orbit.size
-        assert set().union(*rc.qq_orbits.values()) == set(rc.orbit.nums)
-        for rep, members in rc.qq_orbits.items():
-            assert rep == min(members)
-            for t in members:
-                assert rc.rep_of[t] == rep
+        nums = rc.orbit.nums
+        qq = partition(nums, [rc.sh2.__getitem__, rc.q1q3i.__getitem__],
+                       "escaped")
+        assert type(rc.reps) is array
+        assert list(rc.reps) == [min(m) for m in qq]
+        assert sum(map(len, qq)) == rc.orbit.size == len(nums)
+        assert all(rc.rep_of[t] == min(m) for m in qq for t in m)
 
 
 def test_gamma_actions_are_bijections(a4_reduced):
     for rc in a4_reduced.values():
         assert set(rc.reps) <= set(rc.orbit.nums)
         for g in gamma_actions(rc):
-            assert sorted(g) == sorted(g.values()) == rc.reps
+            assert type(g) is array and len(g) == len(rc.rep_of)
+            assert sorted(map(g.__getitem__, rc.reps)) == list(rc.reps)
 
 
 def test_a4_cusp_widths(a4_reduced):
@@ -102,6 +107,59 @@ def test_cusp_internal_relations(a4_reduced):
 def test_a4_reduced_genus(a4_reduced):
     assert reduced_genus(a4_reduced[18]) == 0
     assert reduced_genus(a4_reduced[12]) == 0
+
+
+def _a4_orbits(k=0):
+    """The braid orbits of A4 level k on a spec of their own, so that the
+    class arrays a test doctors are its own."""
+    return all_orbits(spec_of(dict(A4, k=k), ("C+", "C+", "C-", "C-")))
+
+
+def test_qq_gates_raise_on_doctored_arrays():
+    o, other = _a4_orbits()
+    sh2, q1q3i = o.spec.memo(reduced._qq_moves, o.moves)[:2]
+    a, b, c = o.nums[:3]
+    for image in (-1, other.nums[0]):   # no number; another orbit's
+        saved, sh2[a] = sh2[a], image
+        with pytest.raises(ConsistencyError,
+                           match="Q'' orbit escaped the braid orbit"):
+            reduce_orbit(o)
+        sh2[a] = saved
+    for k in o.nums:                        # a 3-cycle, the rest fixed
+        sh2[k] = q1q3i[k] = k
+    sh2[a], sh2[b], sh2[c] = b, c, a
+    with pytest.raises(ConsistencyError, match="Q'' orbit of size 3"):
+        reduce_orbit(o)
+
+
+def test_gamma_gate_raises_on_a_doctored_rep_of():
+    # a -1 in rep_of must raise, not index the gamma arrays from the end
+    o = _a4_orbits()[0]
+    rc = reduce_orbit(o)
+    last = rc.reps[-1]
+    for k in o.nums:
+        if rc.rep_of[k] == last:
+            rc.rep_of[k] = -1
+    with pytest.raises(ConsistencyError, match="not a permutation"):
+        gamma_actions(rc)
+
+
+def _reduced_data(rcs):
+    return [(list(rc.reps), rc.degree, reduced_genus(rc), sh_incidence(rc),
+             [(c.reps, c.width, c.u, c.v, c.f, c.raw_v, c.label)
+              for c in rc.cusps]) for rc in rcs]
+
+
+def test_reduction_order_does_not_matter():
+    # the class arrays are shared by the orbits of a class and filled
+    # orbit by orbit: A4 level 2 reduced in reverse order, with one orbit
+    # reduced again after the others, reads as the in-order run does
+    forward = _reduced_data(map(reduce_orbit, _a4_orbits(2)))
+    orbits = _a4_orbits(2)
+    backward = [reduce_orbit(o) for o in reversed(orbits)]
+    assert _reduced_data(backward) == forward[::-1]
+    assert _reduced_data([reduce_orbit(orbits[0])]) == forward[:1]
+    assert len(forward) > 2
 
 
 def test_width_multiset_seed_invariance(a4_spec, a4_orbits):

@@ -2,10 +2,18 @@
 cache, and deterministic JSON/TSV/DOT reports."""
 
 import argparse
-import hashlib
 import json
 import os
 import sys
+from itertools import chain, islice
+
+try:                    # CPython's own SHA-256: hashlib would load OpenSSL
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 from .groups import ConsistencyError, BudgetExceeded
 from .nielsen import NielsenSpec, cover_genus, DEFAULT_BUDGET
@@ -35,7 +43,7 @@ def _to_jsonable(x):
 def spec_hash(spec):
     blob = json.dumps(spec.to_json(), sort_keys=True,
                       separators=(",", ":")).encode()
-    return hashlib.sha256(blob).hexdigest()
+    return sha256(blob).hexdigest()
 
 
 # ---------------------------------------------------------------------
@@ -45,32 +53,50 @@ def _cache_path(cache_dir, spec):
     return os.path.join(cache_dir, "orbits-%s.json" % spec_hash(spec)[:24])
 
 
-def _orbit_rows(o):
-    return [[t.labels, t.entries] for t in sorted(o.members)]
+def _cache_text(spec, orbits):
+    """The text of the cache file of `orbits`, in chunks: the sorted,
+    compact json.dumps of {"orbits": [...], "spec_hash": spec_hash(spec)}
+    with one list of [labels, entries] rows per orbit, a row per member in
+    NielsenTuple order.  That is the order of the form numbers, so the
+    rows come straight off the packed forms, and the JSON text of each
+    element and label of the group is made once."""
+    T = spec.group.tables()
+    dumps = json.JSONEncoder(separators=(",", ":")).encode
+    label = [dumps(x) for x in T.label]
+    el = [dumps(x) for x in T.els]
 
-
-def _cache_data(spec, orbits):
-    return {"spec_hash": spec_hash(spec),
-            "orbits": [_to_jsonable(_orbit_rows(o)) for o in orbits]}
+    def row(e):
+        return "[[%s],[%s]]" % (",".join(map(label.__getitem__, e)),
+                                ",".join(map(el.__getitem__, e)))
+    yield '{"orbits":['
+    for i, o in enumerate(orbits):
+        rows = map(row, o.forms.rows(o.nums))
+        yield ",[" if i else "["
+        yield next(rows)
+        while chunk := ",".join(islice(rows, 1 << 12)):
+            yield "," + chunk
+        yield "]"
+    yield '],"spec_hash":"%s"}' % spec_hash(spec)
 
 
 def load_cached_orbits(cache_dir, spec):
     """The braid orbits of spec, in seed order, when its cache file holds
-    exactly what store_cached_orbits writes for them: the orbits of the
-    move table built over the enumerated forms.  None when there is no
-    cache file or it holds anything else (unparsable JSON, other forms, or
-    a partition other than the braid orbits), so that the caller
-    recomputes and overwrites it."""
+    exactly the text that store_cached_orbits writes for them: the orbits
+    of the move table built over the enumerated forms.  None when there is
+    no cache file or it holds anything else (other text, other forms, or a
+    partition other than the braid orbits), so that the caller recomputes
+    and overwrites it.  The file is compared with the writer's text chunk
+    by chunk, so neither is held whole."""
     path = _cache_path(cache_dir, spec)
     if not os.path.exists(path):
         return None
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except ValueError:
-        return None
     orbits = all_orbits(spec)
-    return orbits if data == _cache_data(spec, orbits) else None
+    with open(path, "rb") as fh:
+        for chunk in _cache_text(spec, orbits):
+            chunk = chunk.encode()
+            if fh.read(len(chunk)) != chunk:
+                return None
+        return None if fh.read(1) else orbits
 
 
 def store_cached_orbits(cache_dir, spec, orbits):
@@ -80,17 +106,8 @@ def store_cached_orbits(cache_dir, spec, orbits):
     path = _cache_path(cache_dir, spec)
     tmp = "%s.%d.tmp" % (path, os.getpid())
     try:
-        # the text of json.dumps(_cache_data(spec, orbits), sort_keys=True,
-        # separators=(",", ":")), one orbit per dumps call: json.dump runs
-        # the pure-Python encoder, and one dumps of the whole file holds
-        # its data and its text in memory at once
         with open(tmp, "w") as fh:
-            fh.write('{"orbits":[')
-            for i, o in enumerate(orbits):
-                if i:
-                    fh.write(",")
-                fh.write(json.dumps(_orbit_rows(o), separators=(",", ":")))
-            fh.write('],"spec_hash":"%s"}' % spec_hash(spec))
+            fh.writelines(_cache_text(spec, orbits))
         os.replace(tmp, path)
     finally:
         if os.path.exists(tmp):
@@ -259,59 +276,70 @@ BUILDERS = {"enumerate": cmd_enumerate, "orbits": cmd_orbits,
 # ---------------------------------------------------------------------
 # emission
 
-def to_json_bytes(report):
-    return (json.dumps(_to_jsonable(report), sort_keys=True, indent=1,
-                       separators=(",", ": ")) + "\n").encode()
+def to_json(report):
+    """The canonical JSON of the report, in chunks: the text that
+    json.dumps gives with these options, and a newline."""
+    return chain(json.JSONEncoder(
+        sort_keys=True, indent=1,
+        separators=(",", ": ")).iterencode(_to_jsonable(report)), ("\n",))
 
 
 def to_tsv(report):
     """Flatten leaf rows of the canonical JSON into label<TAB>value lines."""
-    lines = []
-
     def walk(prefix, x):
         if isinstance(x, dict):
             for k in sorted(x):
-                walk(prefix + (str(k),), x[k])
+                yield from walk(prefix + (str(k),), x[k])
         elif isinstance(x, list):
             for i, v in enumerate(x):
-                walk(prefix + (str(i),), v)
+                yield from walk(prefix + (str(i),), v)
         else:
-            lines.append("%s\t%s" % (".".join(prefix), x))
+            yield "%s\t%s" % (".".join(prefix), x)
 
-    walk((), _to_jsonable(report))
-    return "\n".join(lines) + "\n"
+    # the lines joined by newlines, and one more newline
+    lines = walk((), _to_jsonable(report))
+    yield next(lines, "")
+    for line in lines:
+        yield "\n" + line
+    yield "\n"
 
 
 def to_dot(report):
     """Component lattice digraph (inner orbits -> absolute orbits)."""
-    lines = ["digraph components {"]
+    yield "digraph components {\n"
     lat = report.get("orbits", {}).get("lattice") if isinstance(
         report.get("orbits"), dict) else report.get("lattice")
     if lat:
         for i, sz in enumerate(lat["absolute_sizes"]):
-            lines.append('  abs%d [label="abs %d (size %d)"];' % (i, i, sz))
+            yield '  abs%d [label="abs %d (size %d)"];\n' % (i, i, sz)
         for j, sz in enumerate(lat["inner_sizes"]):
-            lines.append('  inn%d [label="inner %d (size %d)"];' % (j, j, sz))
-            lines.append("  inn%d -> abs%s;" % (j, lat["covering"][str(j)]))
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+            yield '  inn%d [label="inner %d (size %d)"];\n' % (j, j, sz)
+            yield "  inn%d -> abs%s;\n" % (j, lat["covering"][str(j)])
+    yield "}\n"
 
 
-FORMATTERS = {"json": to_json_bytes,
-              "tsv": lambda report: to_tsv(report).encode(),
-              "dot": lambda report: to_dot(report).encode()}
+FORMATTERS = {"json": to_json, "tsv": to_tsv, "dot": to_dot}
 
 
 def emit(report, fmt, out_dir, cmd):
-    payload = FORMATTERS[fmt](report)
-    if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "%s.%s" % (cmd, fmt))
-        with open(path, "wb") as fh:
-            fh.write(payload)
-        return path
-    sys.stdout.write(payload.decode())
-    return None
+    """Write the report in format `fmt` to `out_dir`/`cmd`.`fmt`, and
+    return that path, or to stdout, and return None.  The formatter's
+    chunks are written in batches, so the whole text is never held."""
+    chunks = FORMATTERS[fmt](report)
+    if not out_dir:
+        _write(chunks, sys.stdout)
+        return None
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "%s.%s" % (cmd, fmt))
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        _write(chunks, fh)
+    return path
+
+
+def _write(chunks, fh):
+    # each batch is a chunk and up to 8 192 more
+    for first in chunks:
+        fh.write("".join(chain((first,), islice(chunks, 1 << 13))))
 
 
 # ---------------------------------------------------------------------

@@ -2,9 +2,12 @@
 partition; the tuple-level engine (braid moves on NielsenTuples, the BFS
 orbit, canonical forms, brute enumeration, the Nielsen predicate and
 shape tests); the numbered class as a tuple list and a dict, the
-reference for the packed class; and closed-form lift values,
-cross-checks for hurwitz.lift."""
+reference for the packed class; the orbit cache file's data, read off
+the NielsenTuples; and closed-form lift values, cross-checks for
+hurwitz.lift."""
 
+import hashlib
+import json
 from array import array
 from itertools import permutations, product
 
@@ -215,6 +218,23 @@ def tuple_class(spec):
     number = {e: k for k, e in enumerate(forms)}
     return forms, number, form_table(h, forms, lambda e: number.get(e, -1),
                                      index_moves(h.tables(), spec.r))
+
+
+# ---------------------------------------------------------------------
+# the orbit cache file
+
+def spec_sha256(spec):
+    """hashlib's SHA-256 of the spec's sorted, compact JSON, hex."""
+    blob = json.dumps(spec.to_json(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+def cache_data(spec, orbits):
+    """The data of the orbit cache file of `orbits`: the spec's hash, and
+    per orbit the [labels, entries] of its members, sorted."""
+    return {"spec_hash": spec_sha256(spec),
+            "orbits": [[[t.labels, t.entries] for t in sorted(o.members)]
+                       for o in orbits]}
 
 
 # ---------------------------------------------------------------------

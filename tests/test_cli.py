@@ -10,7 +10,7 @@ from hurwitz import cli, nielsen
 from hurwitz.groups import ConsistencyError, GroupHandle, make_group
 from hurwitz.nielsen import NielsenSpec
 from hurwitz.braid import all_orbits
-from oracles import hm_detect, di_detect
+from oracles import cache_data, di_detect, hm_detect, spec_sha256
 
 A4_SPEC = {"group": {"family": "affine2", "ell": 2, "k": 0, "order": 3},
            "classes": ["C+", "C+", "C-", "C-"],
@@ -238,6 +238,22 @@ def test_benchmark_tracer_names_resolve():
     assert set(cli.BUILDERS) == set(cli.COMMANDS)
 
 
+def test_spec_hash_loads_no_openssl():
+    # the spec hash is CPython's own SHA-256, so importing the driver
+    # leaves OpenSSL unloaded, and the digest is hashlib's
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import sys, hurwitz.cli; "
+              "print(sorted(m for m in ('_hashlib', 'hashlib') "
+              "if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[]"]
+    spec = NielsenSpec.from_json(A4_SPEC)
+    assert cli.spec_hash(spec) == spec_sha256(spec)
+
+
 def test_spec_hash_stability():
     s1 = NielsenSpec.from_json(A4_SPEC)
     s2 = NielsenSpec.from_json(json.loads(json.dumps(A4_SPEC)))
@@ -285,15 +301,14 @@ def test_absolute_lift_is_a_config_error(tmp_path, spec_json):
                          ids=["a4", "di5"])
 @pytest.mark.parametrize("first", [None, 0], ids=["all", "none"])
 def test_cache_file_is_one_canonical_dump(tmp_path, spec_json, first):
-    # the orbit-by-orbit writer gives the bytes of one sorted, compact
-    # json.dumps of the cache data
+    # the writer, streaming off the packed forms, gives the bytes of one
+    # sorted, compact json.dumps of the data read off the NielsenTuples
     spec = NielsenSpec.from_json(spec_json)
     orbits = all_orbits(spec)[:first]
     cli.store_cached_orbits(str(tmp_path), spec, orbits)
     with open(cli._cache_path(str(tmp_path), spec), "rb") as fh:
         written = fh.read()
-    assert written == json.dumps(cli._cache_data(spec, orbits),
-                                 sort_keys=True,
+    assert written == json.dumps(cache_data(spec, orbits), sort_keys=True,
                                  separators=(",", ":")).encode()
 
 
@@ -468,13 +483,46 @@ def test_commands_match_report_sections(tmp_path, spec_json):
 
 @pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],
                          ids=["a4", "di5"])
-def test_report_builds_no_members(spec_json):
-    # a report without --cache reads every orbit off its index forms
+def test_report_builds_no_members(tmp_path, monkeypatch, spec_json):
+    # a report reads every orbit off its index forms: without --cache,
+    # and with it, both when it writes the cache and on a hit
     spec = NielsenSpec.from_json(spec_json)
     cli.cmd_report(spec)
-    for s in (spec, spec.as_absolute()):
-        for o in all_orbits(s):
-            assert "members" not in vars(o)
+    specs = [spec]
+    hits = []
+    load = cli.load_cached_orbits
+
+    def loaded(cache_dir, run_spec):
+        specs.append(run_spec)
+        hits.append(load(cache_dir, run_spec))
+        return hits[-1]
+    monkeypatch.setattr(cli, "load_cached_orbits", loaded)
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_json))
+    for _ in range(2):
+        assert cli.run(["--spec", str(spec_file), "--cache",
+                        str(tmp_path / "cache"), "--out",
+                        str(tmp_path / "out")]) == cli.EXIT_OK
+    assert hits[0] is None and hits[1] is all_orbits(specs[2])
+    for run_spec in specs:
+        for s in (run_spec, run_spec.as_absolute()):
+            for o in all_orbits(s):
+                assert "members" not in vars(o)
+
+
+@pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],
+                         ids=["a4", "di5"])
+@pytest.mark.parametrize("fmt", ["json", "tsv", "dot"])
+def test_stdout_and_file_give_the_same_bytes(tmp_path, capsysbinary,
+                                             spec_json, fmt):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_json))
+    argv = ["--spec", str(spec_file), "--format", fmt]
+    assert cli.run(argv) == cli.EXIT_OK
+    printed = capsysbinary.readouterr().out
+    out = tmp_path / "out"
+    assert cli.run(argv + ["--out", str(out)]) == cli.EXIT_OK
+    assert printed and printed == read_report(out, fmt=fmt)
 
 
 def _alt5(labels):

@@ -29,17 +29,6 @@ COMMANDS = ("enumerate", "orbits", "cusps", "genus", "shmatrix", "lift",
 EXIT_OK, EXIT_CONFIG, EXIT_BUDGET, EXIT_INTERNAL = 0, 2, 3, 4
 
 
-def _to_jsonable(x):
-    if isinstance(x, tuple):
-        return [_to_jsonable(v) for v in x]
-    if isinstance(x, (list, set, frozenset)):
-        return [_to_jsonable(v) for v in sorted(x)] if isinstance(
-            x, (set, frozenset)) else [_to_jsonable(v) for v in x]
-    if isinstance(x, dict):
-        return {str(k): _to_jsonable(v) for k, v in x.items()}
-    return x
-
-
 def spec_hash(spec):
     blob = json.dumps(spec.to_json(), sort_keys=True,
                       separators=(",", ":")).encode()
@@ -151,8 +140,7 @@ def cmd_enumerate(spec):
 
 def cmd_orbits(spec):
     out = {"orbits": [{"size": o.size,
-                       "seed": [_to_jsonable(o.seed.labels),
-                                _to_jsonable(o.seed.entries)]}
+                       "seed": [o.seed.labels, o.seed.entries]}
                       for o in all_orbits(spec)]}
     lat = component_lattice(spec)
     out["lattice"] = {
@@ -278,26 +266,34 @@ BUILDERS = {"enumerate": cmd_enumerate, "orbits": cmd_orbits,
 
 def to_json(report):
     """The canonical JSON of the report, in chunks: the text that
-    json.dumps gives with these options, and a newline."""
+    json.dumps gives with these options, and a newline.  Tuples are
+    encoded as lists and sets as sorted lists.  The report's dict keys
+    must be strs, as to_tsv checks: sort_keys would order other keys by
+    their own value, not their text."""
     return chain(json.JSONEncoder(
-        sort_keys=True, indent=1,
-        separators=(",", ": ")).iterencode(_to_jsonable(report)), ("\n",))
+        sort_keys=True, indent=1, separators=(",", ": "),
+        default=sorted).iterencode(report), ("\n",))
 
 
 def to_tsv(report):
-    """Flatten leaf rows of the canonical JSON into label<TAB>value lines."""
+    """Flatten leaf rows of the canonical JSON into label<TAB>value lines:
+    tuples walked as lists, sets as sorted lists."""
     def walk(prefix, x):
         if isinstance(x, dict):
             for k in sorted(x):
-                yield from walk(prefix + (str(k),), x[k])
-        elif isinstance(x, list):
+                if not isinstance(k, str):
+                    raise TypeError("report key %r is not a str" % (k,))
+                yield from walk(prefix + (k,), x[k])
+        elif isinstance(x, (list, tuple, set, frozenset)):
+            if isinstance(x, (set, frozenset)):
+                x = sorted(x)
             for i, v in enumerate(x):
                 yield from walk(prefix + (str(i),), v)
         else:
             yield "%s\t%s" % (".".join(prefix), x)
 
     # the lines joined by newlines, and one more newline
-    lines = walk((), _to_jsonable(report))
+    lines = walk((), report)
     yield next(lines, "")
     for line in lines:
         yield "\n" + line

@@ -11,19 +11,22 @@ forms in `Forms`, r columns of element indices and an index of the
 blocks of numbers that share a head, with no Python object per form.
 
 The canonical forms are generated directly, least first, with no
-canonicalization.  Canonicalization runs once per form, for sh only:
-q_{r-1} keeps each form's canonical head and minimizes over that head's
-stabilizer, and the other twists follow from those two arrays when they
-are first read.  A map that commutes with the braid moves (an
-automorphism, the reduction to the tower level below) is canonicalized
-at one form per braid orbit and carried over the rest along the move
-arrays of q_{r-1} and sh by `transport`.
+canonicalization, one head block at a time: the forms that share the
+entries before the last two and the label of entry r-1.  The class is
+built block by block too.  sh moves each shifted form onto its pinned
+entry by a transporter fixed per block and minimizes over a per-class
+table of least rows; q_{r-1} keeps each form's canonical head and
+minimizes over that head's stabilizer; and the other twists follow from
+those two arrays when they are first read.  A map that commutes with the
+braid moves (an automorphism, the reduction to the tower level below) is
+canonicalized at one form per braid orbit and carried over the rest
+along the move arrays of q_{r-1} and sh by `transport`.
 """
 
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import chain, groupby, islice, product, permutations
+from itertools import chain, product, permutations, repeat
 from typing import NamedTuple
 
 from .groups import (Memo, make_group, ConsistencyError, BudgetExceeded,
@@ -104,12 +107,34 @@ def _class_data(h, label):
     """(rep, rows) of the class `label`: its representative as an element
     index, and the conjugation rows of the noncentral elements of that
     representative's centralizer (the identity and the central elements
-    conjugate trivially).  The canonizer, the enumeration and the last
-    twist read it through h.memo, once per class."""
+    conjugate trivially).  The canonizer, the enumeration, sh and the
+    last twist read it through h.memo, once per class."""
     T = h.tables()
     rep = h.classes()[label].rep
     return T.index[rep], [T.conj[T.index[z]] for z in h.centralizer(rep)
                           if len(h.class_of(z)) > 1]
+
+
+def _least_rows(h, label):
+    """(single, ties): the conjugation rows of the centralizer C of the
+    representative of class `label` (the identity's row and the distinct
+    rows of _class_data) that take an element x to its least conjugate
+    under C.  single[x] is that row where it is the only one, else None,
+    and then ties[x] lists them all: the stabilizer of x in C acts
+    nontrivially.  The sh table reads it through h.memo, once per
+    class."""
+    T = h.tables()
+    rows = [T.conj[T.e]]
+    for row in h.memo(_class_data, h, label)[1]:
+        if row not in rows:
+            rows.append(row)
+    single, ties = [], {}
+    for x, m in enumerate(map(min, *rows) if len(rows) > 1 else rows[0]):
+        tied = [row for row in rows if row[x] == m]
+        single.append(tied[0] if len(tied) == 1 else None)
+        if len(tied) > 1:
+            ties[x] = tied
+    return single, ties
 
 
 def canonizer(h):
@@ -203,7 +228,9 @@ def _orderly_forms(spec):
     middle entry runs over those least members, in order, and once the
     stabilizer is trivial the rest run free; the last entry is the
     inverse of the product, which the stabilizer of the rest fixes.
-    The forms are yielded one at a time, so no list of them is built."""
+    The forms come one head block at a time, as (prefix, xs, tails): the
+    entries before the last two, then the increasing entries r-1 of the
+    block and their entries r, so no tuple per form is built."""
     h = spec.group
     classes = h.classes()
     T = h.tables()
@@ -212,28 +239,30 @@ def _orderly_forms(spec):
         pin, stab = h.memo(_class_data, h, ordering[0])
         mids = [sorted(T.indices(classes[lab].members))
                 for lab in ordering[1:-1]]
-        last = ordering[-1]
+        xs_all, last = mids[-1], ordering[-1]
+        # ok[y]: the inverse of y lies in the last class
+        ok = bytes(label[inv[y]] == last for y in range(len(inv)))
 
-        def free(head, p, i):
-            # entries i.. of mids with a trivial stabilizer
-            for combo in product(*mids[i:-1]):
-                q = p
-                for g in combo:
-                    q = mul[q][g]
-                row, prefix = mul[q], head + combo
-                for x in mids[-1]:
-                    tail = inv[row[x]]
-                    if label[tail] == last:
-                        yield prefix + (x, tail)
+        def block(prefix, p, stab):
+            # entries r-1 and r after `prefix` of product p
+            row = mul[p]
+            xs = [x for x in xs_all if ok[row[x]]]
+            if stab:
+                xs = [x for x in xs if all(s[x] >= x for s in stab)]
+            if xs:
+                yield prefix, xs, [inv[row[x]] for x in xs]
 
         def extend(head, p, stab, i):
             # entry i of mids, under the stabilizer rows `stab` of head
-            if i == len(mids):
-                tail = inv[p]
-                if label[tail] == last:
-                    yield head + (tail,)
+            if i == len(mids) - 1:
+                yield from block(head, p, stab)
             elif not stab:
-                yield from free(head, p, i)
+                # the rest of the prefix runs free
+                for combo in product(*mids[i:-1]):
+                    q = p
+                    for g in combo:
+                        q = mul[q][g]
+                    yield from block(head + combo, q, stab)
             else:
                 for x in mids[i]:
                     if all(row[x] >= x for row in stab):
@@ -253,24 +282,25 @@ class Forms(Sequence):
     block and checks the last two columns: a tuple's number, or -1.
     Indexing decodes a number to its tuple; iterating zips the columns."""
 
-    def __init__(self, T, r, tuples):
-        """`tuples`: index r-tuples in NielsenTuple order, read once."""
-        # read entry by entry, in chunks, then split into columns
-        flat = array("H" if len(T.els) < 1 << 16 else "I")
-        entries = chain.from_iterable(tuples)
-        while chunk := list(islice(entries, 1 << 14)):
-            flat.fromlist(chunk)
-        self.cols = cols = [flat[i::r] for i in range(r)]
+    def __init__(self, T, r, blocks):
+        """`blocks`: (prefix, xs, tails) per head block, in NielsenTuple
+        order, as _orderly_forms yields them, read once."""
+        code = "H" if len(T.els) < 1 << 16 else "I"
+        self.cols = cols = [array(code) for _ in range(r)]
         self.heads = heads = {}
         label = T.label
         lo = 0
-        for head, run in groupby(zip(*cols[:-2],
-                                     map(label.__getitem__, cols[-2]))):
-            if head in heads:
+        for prefix, xs, tails in blocks:
+            key = (*prefix, label[xs[0]])
+            if key in heads:
                 raise ConsistencyError("forms out of NielsenTuple order")
-            hi = lo + len(list(run))
-            heads[head] = lo, hi
+            hi = lo + len(xs)
+            heads[key] = lo, hi
             lo = hi
+            for c, v in zip(cols, prefix):
+                c.fromlist([v] * len(xs))
+            cols[-2].fromlist(xs)
+            cols[-1].fromlist(tails)
         mid, end = cols[-2], cols[-1]
 
         def find(e):
@@ -390,30 +420,84 @@ def _last_twist(h, forms):
     return out
 
 
+def _shift(h, forms):
+    """sh as an array over the numbers of `forms`, canonicalized block by
+    block.  The shifted form (e_2, .., e_r, e_1) is moved onto the pinned
+    entry by the transporter of e_2, which for r >= 4 is fixed in a head
+    block and for r = 3 is kept per value of e_2, and the pinned-entry
+    check runs once per transporter.  Then its least conjugate under the
+    centralizer C of the representative first minimizes the new entry 2,
+    so the rows of _least_rows at that entry give it: the one row, or the
+    least of the images under a tie.  The image's block is found from its
+    head, in which the label of entry r-1 is that of the block's entries
+    r, and bisected."""
+    T = h.tables()
+    conj, label, transporter = T.conj, T.label, T.to_rep
+    heads, cols = forms.heads, forms.cols
+    mid, end = cols[-2], cols[-1]
+    pinned = {}     # e_2 -> its transporter's row, and the least rows
+
+    def pin(x):
+        lab = label[x]
+        to_rep = conj[transporter[x]]
+        if to_rep[x] != h.memo(_class_data, h, lab)[0]:
+            raise ConsistencyError("canonical form lost its pinned entry")
+        return (to_rep, *h.memo(_least_rows, h, lab))
+    out = array("i")
+    append = out.append
+    for key, (lo, hi) in heads.items():
+        prefix = key[:-1]
+        last = (label[end[lo]],)
+        xs = mid[lo:hi]
+        seconds = xs if len(prefix) == 1 else repeat(prefix[1], hi - lo)
+        e2 = None
+        for x, y, z in zip(xs, end[lo:hi], seconds):
+            if z != e2:
+                e2 = z
+                d = pinned.get(z)
+                if d is None:
+                    d = pinned[z] = pin(z)
+                to_rep, single, ties = d
+                # the transported prefix after e_2, and e_1
+                rest = tuple(map(to_rep.__getitem__, prefix[1:]))
+                first = to_rep[prefix[0]]
+            base = (*rest, to_rep[x], to_rep[y], first)
+            row = single[base[1]]
+            if row is not None:
+                img = tuple(map(row.__getitem__, base))
+            else:
+                img = min([tuple(map(row.__getitem__, base))
+                           for row in ties[base[1]]])
+            block = heads.get(img[:-2] + last)
+            if block is None:
+                append(-1)
+                continue
+            u = img[-2]
+            tlo, thi = block
+            k = bisect_left(mid, u, tlo, thi)
+            append(k if k < thi and mid[k] == u and end[k] == img[-1]
+                   else -1)
+    return out
+
+
 def nielsen_class(spec):
     """The numbered inner NielsenClass of spec.  The canonical forms of the
     product-one tuples come from _orderly_forms, numbered in NielsenTuple
     order, so an orbit's least number is its seed, and are packed into
-    Forms as they come.  Only sh is canonicalized; q_{r-1} keeps the
-    canonical head of each form and is read off _last_twist.  They
-    generate the Hurwitz monodromy group, so the orbits are theirs, and
-    the class keeps just those two arrays: sh q_{j+1} sh^-1 = q_j on
-    tuples and braid moves commute with conjugation, so the other twists
-    follow downward, q_j[k] = sh[q_{j+1}[sh^-1[k]]], exactly on the
-    numbers, each when it is first read.  A braid move keeps the generated
-    subgroup and a conjugation conjugates it, so generation is tested on
-    one form per orbit.  Callers read it through spec.memo with the inner
-    spec, once per spec and shared by the twins."""
+    Forms block by block.  sh is read off _shift and q_{r-1} off
+    _last_twist, both per head block.  They generate the Hurwitz
+    monodromy group, so the orbits are theirs, and the class keeps just
+    those two arrays: sh q_{j+1} sh^-1 = q_j on tuples and braid moves
+    commute with conjugation, so the other twists follow downward,
+    q_j[k] = sh[q_{j+1}[sh^-1[k]]], exactly on the numbers, each when it
+    is first read.  A braid move keeps the generated subgroup and a
+    conjugation conjugates it, so generation is tested on one form per
+    orbit.  Callers read it through spec.memo with the inner spec, once
+    per spec and shared by the twins."""
     h = spec.group
     T = h.tables()
     forms = Forms(T, spec.r, _orderly_forms(spec))
-    canon, find, cols = h.memo(canonizer, h), forms.find, forms.cols
-    # zip(cols[1:], cols[0]) iterates the shifted forms; filled in chunks,
-    # so that no list of the whole array is built
-    shift = array("i")
-    shifted = map(find, map(canon, zip(*cols[1:], cols[0])))
-    while chunk := list(islice(shifted, 1 << 14)):
-        shift.fromlist(chunk)
+    shift = _shift(h, forms)
     last = _last_twist(h, forms)
     r = spec.r
     inverses = {r - 2: _check_permutation(last, "q_%d" % (r - 1)),

@@ -9,7 +9,7 @@ hurwitz.lift."""
 import hashlib
 import json
 from array import array
-from itertools import permutations, product
+from itertools import groupby, permutations, product
 
 from hurwitz.braid import BraidOrbit, q_twist
 from hurwitz.groups import ConsistencyError, closure
@@ -114,10 +114,22 @@ def orbit(spec, seed):
     members = sorted(closure(seed, moves))
     number = {t: k for k, t in enumerate(members)}
     T = spec.group.tables()
-    forms = Forms(T, spec.r, (T.indices(t.entries) for t in members))
+    forms = Forms(T, spec.r, head_blocks(T, [T.indices(t.entries)
+                                             for t in members]))
     return BraidOrbit(spec, range(len(members)), forms,
                       Moves([array("i", [number[d[t]] for t in members])
                              for d in table], None))
+
+
+def head_blocks(T, tuples):
+    """The index tuples `tuples`, in NielsenTuple order, as the head blocks
+    nielsen.Forms reads: (prefix, xs, tails) per run of tuples that share
+    the entries before the last two and the label of entry r-1."""
+    def head(e):
+        return e[:-2], T.label[e[-2]]
+    for (prefix, _), run in groupby(tuples, head):
+        run = list(run)
+        yield prefix, [e[-2] for e in run], [e[-1] for e in run]
 
 
 def unpinned_enumerate(spec):

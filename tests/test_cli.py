@@ -254,6 +254,35 @@ def test_spec_hash_loads_no_openssl():
     assert cli.spec_hash(spec) == spec_sha256(spec)
 
 
+# the top-level modules a fresh `python -S` holds once it has imported
+# hurwitz.cli, on CPython 3.11; 3.10 also loads the old regex modules and
+# _locale, 3.12 has _sha2 for _sha256, and 3.13 adds linecache
+CLI_IMPORTS = set("""
+    __main__ _abc _bisect _codecs _collections _collections_abc
+    _frozen_importlib _frozen_importlib_external _functools _imp _io _json
+    _operator _sha256 _signal _sre _stat _thread _typing _warnings _weakref
+    abc argparse array bisect builtins codecs collections contextlib copyreg
+    encodings enum functools genericpath gettext hurwitz io itertools json
+    keyword marshal math operator os posix posixpath re reprlib stat sys
+    time types typing warnings zipimport
+    _locale sre_compile sre_constants sre_parse _sha2 linecache
+    """.split())
+
+
+def test_cli_import_loads_no_new_module():
+    # every module the driver's import loads is start-up time of every
+    # report, so the set may shrink but not grow
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    script = ("import sys, hurwitz.cli; "
+              "print(*sorted({m.partition('.')[0] for m in sys.modules}))")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "hurwitz" in proc.stdout.split()
+    assert set(proc.stdout.split()) - CLI_IMPORTS == set()
+
+
 def test_spec_hash_stability():
     s1 = NielsenSpec.from_json(A4_SPEC)
     s2 = NielsenSpec.from_json(json.loads(json.dumps(A4_SPEC)))
@@ -479,6 +508,55 @@ def test_commands_match_report_sections(tmp_path, spec_json):
     report = sections.pop("report")
     for cmd, section in sections.items():
         assert section == report[cmd], cmd
+
+
+A5_T_SPEC = {"group": {"family": "alternating", "n": 5},
+             "classes": ["3"] * 4, "T": "natural"}
+
+
+def _keys(x):
+    """Every dict key in the report x."""
+    if isinstance(x, dict):
+        yield from x
+        for v in x.values():
+            yield from _keys(v)
+    elif isinstance(x, (list, tuple)):
+        for v in x:
+            yield from _keys(v)
+
+
+def _jsonable(x):
+    # the report copied into lists and str keys, then encoded by json
+    if isinstance(x, (set, frozenset)):
+        return [_jsonable(v) for v in sorted(x)]
+    if isinstance(x, (list, tuple)):
+        return [_jsonable(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
+    return x
+
+
+@pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC, A5_T_SPEC],
+                         ids=["a4", "di5", "a5-natural"])
+def test_reports_are_encoded_as_they_stand(spec_json):
+    # the formatters encode the report itself: its keys are strs, so
+    # sort_keys orders them as text, and the JSON is that of the report
+    # copied into lists
+    spec = NielsenSpec.from_json(spec_json)
+    for cmd, build in sorted(cli.BUILDERS.items()):
+        if cmd == "tower" and spec_json is not A4_SPEC:
+            continue        # none above A_n, and a slow one above DI5
+        report = build(spec)
+        assert all(isinstance(k, str) for k in _keys(report)), cmd
+        assert "".join(cli.to_json(report)) == json.dumps(
+            _jsonable(report), sort_keys=True, indent=1,
+            separators=(",", ": ")) + "\n", cmd
+    with pytest.raises(TypeError, match="not a str"):
+        "".join(cli.to_tsv({"orbits": {1: 2}}))
+    assert "".join(cli.to_json({"s": {(2, 1), (1, 3)}})) == \
+        '{\n "s": [\n  [\n   1,\n   3\n  ],\n  [\n   2,\n   1\n  ]\n ]\n}\n'
+    assert "".join(cli.to_tsv({"s": {(2, 1), (1, 3)}, "t": (4,)})) == \
+        "s.0.0\t1\ns.0.1\t3\ns.1.0\t2\ns.1.1\t1\nt.0\t4\n"
 
 
 @pytest.mark.parametrize("spec_json", [A4_SPEC, DI5_SPEC],

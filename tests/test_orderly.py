@@ -15,7 +15,7 @@ from hurwitz.nielsen import (NielsenSpec, nielsen_class, absolute_class_map,
                              index_moves, canonizer, transport)
 from hurwitz.braid import all_orbits, component_lattice
 from hurwitz.lift import _next_level, _reduction, level_up, tower_lift
-from oracles import form_table, tuple_class, partition
+from oracles import form_table, head_blocks, tuple_class, partition
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 DI7 = {"family": "affine2", "ell": 7, "k": 0, "order": 3}
@@ -87,7 +87,8 @@ def test_orderly_forms_are_the_pinned_canonical_forms(name):
         assert nc.forms.find(moved) == -1
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
+@pytest.mark.parametrize("name", sorted(SPECS) +
+                         ["%s-child" % n for n in TOWERS])
 def test_derived_twists_are_the_direct_form_table(name):
     spec = spec_of(name)
     h = spec.group
@@ -109,6 +110,26 @@ def test_last_twist_meets_a_nontrivial_head_stabilizer():
         if any(nc.forms.find(last(e)) < 0 for e in nc.forms):
             moved.append(name)
     assert moved
+
+
+def test_shift_meets_a_tie_at_the_new_entry_two():
+    # where the stabilizer of the shifted form's new entry 2 in the
+    # centralizer of the pinned entry acts nontrivially, _shift takes the
+    # least image over the tied rows; test_derived_twists_are_the_direct_
+    # form_table holds its result to the direct form table on these specs
+    tied = set()
+    for name in sorted(SPECS):
+        spec = spec_of(name)
+        h = spec.group
+        T = h.tables()
+        canon = canonizer(h)
+        for e in nielsen_class(spec).forms:
+            c = canon(e[1:] + e[:1])
+            rows = nielsen._class_data(h, T.label[c[0]])[1]
+            if any(row[c[1]] == c[1] for row in rows):
+                tied.add(name)
+                break
+    assert {"a5-2222", "s4-2223", "s4-3344", "d8"} <= tied
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -154,10 +175,21 @@ def test_transported_tower_reduction_is_the_direct_one(name):
 # ---------------------------------------------------------------------
 # gates
 
+def _orderly_tuples(spec):
+    # the enumeration's head blocks, spelled out form by form
+    return [(*prefix, x, t)
+            for prefix, xs, tails in nielsen._orderly_forms(spec)
+            for x, t in zip(xs, tails)]
+
+
 def _class_with(monkeypatch, edit):
+    # the edited form list, regrouped into the head blocks of the
+    # enumeration
     spec = spec_of("a4")
-    forms = list(nielsen._orderly_forms(spec))
-    monkeypatch.setattr(nielsen, "_orderly_forms", lambda spec: edit(forms))
+    T = spec.group.tables()
+    forms = _orderly_tuples(spec)
+    monkeypatch.setattr(nielsen, "_orderly_forms",
+                        lambda spec: head_blocks(T, edit(forms)))
     return spec
 
 
@@ -178,12 +210,26 @@ def test_noncanonical_form_is_an_inconsistency(monkeypatch):
     spec = spec_of("a4")
     h = spec.group
     T = h.tables()
-    e = list(nielsen._orderly_forms(spec))[4]
+    e = _orderly_tuples(spec)[4]
     row = next(T.conj[z] for z in range(h.order)
                if tuple(map(T.conj[z].__getitem__, e)) != e)
     moved = tuple(map(row.__getitem__, e))
     spec = _class_with(monkeypatch, lambda f: f[:4] + [moved] + f[5:])
     with pytest.raises(ConsistencyError):
+        nielsen_class(spec)
+
+
+def test_doctored_transporter_loses_the_pinned_entry(monkeypatch):
+    # a transporter that does not move entry 2 of a form onto its class
+    # representative is caught once for its block of the sh table
+    spec = spec_of("a4")
+    T = spec.group.tables()
+    x = next(e[1] for e in nielsen_class(spec).forms
+             if T.to_rep[e[1]] != T.e)
+    to_rep = list(T.to_rep)
+    to_rep[x] = T.e
+    monkeypatch.setattr(T, "to_rep", to_rep)
+    with pytest.raises(ConsistencyError, match="lost its pinned entry"):
         nielsen_class(spec)
 
 

@@ -182,15 +182,16 @@ def _shapes(orbit):
     """{"hm", "di"}: whether some member of the orbit has the
     Harbater-Mumford shape (g1, g1^-1, g2, g2^-1, ...), and the
     double-identity shape (g1, g2, g1, g4) with g2, g4 in one class, read
-    on its index form."""
+    on its index forms in one pass, which stops once both are settled."""
     T = orbit.spec.group.tables()
     inv, label, r = T.inv, T.label, orbit.spec.r
-    forms = list(orbit.forms.rows(orbit.nums))
-    return {"hm": r % 2 == 0 and any(
-                all(e[i + 1] == inv[e[i]] for i in range(0, r, 2))
-                for e in forms),
-            "di": r == 4 and any(e[0] == e[2] and label[e[1]] == label[e[3]]
-                                 for e in forms)}
+    hm = di = False
+    for e in orbit.forms.rows(orbit.nums) if r % 2 == 0 else ():
+        hm = hm or all(e[i + 1] == inv[e[i]] for i in range(0, r, 2))
+        di = di or (r == 4 and e[0] == e[2] and label[e[1]] == label[e[3]])
+        if hm and (di or r != 4):
+            break
+    return {"hm": hm, "di": di}
 
 
 def _lift_section(spec, comps):

@@ -260,9 +260,6 @@ class GroupHandle(Memo):
     def center(self):
         return [g for g in self.elements() if len(self.class_of(g)) == 1]
 
-    def centralizer(self, g):
-        return [h for h in self.elements() if self.mul(g, h) == self.mul(h, g)]
-
     def tables(self):
         """The group's ElementTables, built on first use."""
         return self.memo(ElementTables, self)
@@ -888,6 +885,11 @@ def _build_group(spec):
         if field in spec and spec[field] < low:
             raise ValueError("%s needs %s >= %d, not %r"
                              % (fam, field, low, spec[field]))
+    # the ell-adic families, whose lifts hold for a prime ell only
+    if fam in ("affine2", "heis2", "k22z3"):
+        ell = spec["ell"]
+        if any(ell % p == 0 for p in range(2, math.isqrt(ell) + 1)):
+            raise ValueError("%s needs ell prime, not %r" % (fam, ell))
     if fam == "alternating":
         return Alternating(spec["n"])
     if fam == "symmetric":

@@ -10,17 +10,21 @@ NielsenTuple order among the canonical index tuples.  The class keeps its
 forms in `Forms`, r columns of element indices and an index of the
 blocks of numbers that share a head, with no Python object per form.
 
-The canonical forms are generated directly, least first, with no
+The inner canonical form rests on one per-class record, `_centralizer`:
+the centralizer of the class representative as conjugation rows on the
+element indices, and the rule that takes a pinned tuple to its least
+conjugate under it.  The enumeration, the canonizer, sh and q_{r-1} read
+it.  The canonical forms are generated directly, least first, with no
 canonicalization, one head block at a time: the forms that share the
 entries before the last two and the label of entry r-1.  The class is
 built block by block too.  sh moves each shifted form onto its pinned
-entry by a transporter fixed per block and minimizes over a per-class
-table of least rows; q_{r-1} keeps each form's canonical head and
-minimizes over that head's stabilizer; and the other twists follow from
-those two arrays when they are first read.  A map that commutes with the
-braid moves (an automorphism, the reduction to the tower level below) is
-canonicalized at one form per braid orbit and carried over the rest
-along the move arrays of q_{r-1} and sh by `transport`.
+entry by a transporter fixed per block and applies the record's rule;
+q_{r-1} keeps each form's canonical head and minimizes over that head's
+stabilizer; and the other twists follow from those two arrays when they
+are first read.  A map that commutes with the braid moves (an
+automorphism, the reduction to the tower level below) is canonicalized
+at one form per braid orbit and carried over the rest along the move
+arrays of q_{r-1} and sh by `transport`.
 """
 
 from array import array
@@ -103,70 +107,65 @@ class NielsenSpec(Memo):
 # ---------------------------------------------------------------------
 # canonical forms on element indices (see groups.ElementTables)
 
-def _class_data(h, label):
-    """(rep, rows) of the class `label`: its representative as an element
-    index, and the conjugation rows of the noncentral elements of that
-    representative's centralizer (the identity and the central elements
-    conjugate trivially).  The canonizer, the enumeration, sh and the
-    last twist read it through h.memo, once per class."""
-    T = h.tables()
-    rep = h.classes()[label].rep
-    return T.index[rep], [T.conj[T.index[z]] for z in h.centralizer(rep)
-                          if len(h.class_of(z)) > 1]
-
-
-def _least_rows(h, label):
-    """(single, ties): the conjugation rows of the centralizer C of the
-    representative of class `label` (the identity's row and the distinct
-    rows of _class_data) that take an element x to its least conjugate
-    under C.  single[x] is that row where it is the only one, else None,
-    and then ties[x] lists them all: the stabilizer of x in C acts
-    nontrivially.  The sh table reads it through h.memo, once per
+def _centralizer(h, label):
+    """(rep, rows, least) of the class `label`: its representative as an
+    element index; the distinct conjugation rows of the noncentral
+    elements z of its centralizer C, the z with rep z = z rep (the
+    central ones, the identity among them, conjugate trivially); and
+    least(e), the least conjugate under C of an index tuple e whose entry
+    1 is rep.  That conjugate first minimizes entry 2, so least applies
+    the one row of C that does, or under a tie (the stabilizer of entry 2
+    in C acts nontrivially) takes the least of the tied rows' images, and
+    gives e itself when the identity's row is the one.  The enumeration,
+    the canonizer, sh and the last twist read it through h.memo, once per
     class."""
     T = h.tables()
-    rows = [T.conj[T.e]]
-    for row in h.memo(_class_data, h, label)[1]:
-        if row not in rows:
-            rows.append(row)
-    single, ties = [], {}
-    for x, m in enumerate(map(min, *rows) if len(rows) > 1 else rows[0]):
-        tied = [row for row in rows if row[x] == m]
+    rep = T.index[h.classes()[label].rep]
+    distinct = {}   # a conjugation row is fixed by its images of the gens
+    for z, (zr, rz) in enumerate(zip(T.mul[rep], T.right(rep))):
+        if zr == rz and len(T.classes[T.label[z]]) > 1:
+            row = T.conj[z]
+            distinct.setdefault(tuple(map(row.__getitem__, T.gens)), row)
+    rows = list(distinct.values())
+    ident = T.conj[T.e]
+    single, ties = [], {}   # per element: its one row, or None and ties
+    for x, m in enumerate(map(min, ident, *rows) if rows else ident):
+        tied = [row for row in (ident, *rows) if row[x] == m]
         single.append(tied[0] if len(tied) == 1 else None)
         if len(tied) > 1:
             ties[x] = tied
-    return single, ties
+
+    def least(e):
+        row = single[e[1]]
+        if row is ident:
+            return e
+        if row is None:
+            return min([tuple(map(row.__getitem__, e)) for row in ties[e[1]]])
+        return tuple(map(row.__getitem__, e))
+    return rep, rows, least
 
 
 def canonizer(h):
     """The inner canonical form on index tuples: the minimum over all
     conjugations, found by moving entry 1 onto its class representative
-    by its transporter `T.to_rep` and minimizing over the noncentral part
-    of that representative's centralizer.  Any transporter will do, since
-    they form one coset C(rep) t.  Index order is element order, so this
-    is the minimum of the element tuples too.  Read through h.memo: the
-    one canonicalization of the group."""
+    by its transporter `T.to_rep` and taking the least conjugate under
+    that representative's centralizer by the `least` of _centralizer.
+    Any transporter will do, since they form one coset C(rep) t.  Index
+    order is element order, so this is the minimum of the element tuples
+    too.  Read through h.memo: the one canonicalization of the group."""
     T = h.tables()
     conj, label, transporter = T.conj, T.label, T.to_rep
-    data = {}       # label -> (rep, centralizer rows)
+    records = {}    # label -> its _centralizer record
 
     def canon(e):
         lab = label[e[0]]
-        d = data.get(lab)
+        d = records.get(lab)
         if d is None:
-            d = data[lab] = h.memo(_class_data, h, lab)
-        rep, cen_rows = d
+            d = records[lab] = h.memo(_centralizer, h, lab)
         to_rep = conj[transporter[e[0]]]
-        best = base = tuple(map(to_rep.__getitem__, e))
-        x = base[1]
-        for row in cen_rows:
-            # the rows fix the pinned entry, so entry 1 compares first
-            if row[x] <= best[1]:
-                cand = tuple(map(row.__getitem__, base))
-                if cand < best:
-                    best = cand
-        if best[0] != rep:
+        if to_rep[e[0]] != d[0]:
             raise ConsistencyError("canonical form lost its pinned entry")
-        return best
+        return d[2](tuple(map(to_rep.__getitem__, e)))
     return canon
 
 
@@ -236,7 +235,7 @@ def _orderly_forms(spec):
     T = h.tables()
     mul, inv, label = T.mul, T.inv, T.label
     for ordering in _orderings(spec, spec.labels[1:-1]):
-        pin, stab = h.memo(_class_data, h, ordering[0])
+        pin, stab, _ = h.memo(_centralizer, h, ordering[0])
         mids = [sorted(T.indices(classes[lab].members))
                 for lab in ordering[1:-1]]
         xs_all, last = mids[-1], ordering[-1]
@@ -405,8 +404,8 @@ def _last_twist(h, forms):
     out = array("i")
     for key, (lo, hi) in heads.items():
         head = key[:-1]
-        rows = [row for row in h.memo(_class_data, h, label[head[0]])[1]
-                if all(row[y] == y for y in head[1:])]
+        cen_rows = h.memo(_centralizer, h, label[head[0]])[1]
+        rows = [row for row in cen_rows if all(row[y] == y for y in head[1:])]
         tlo, thi = heads.get(head + (label[end[lo]],), (0, 0))
         for x, y in zip(mid[lo:hi], end[lo:hi]):
             # the twisted pair (z, x), and its least conjugate (u, w)
@@ -425,29 +424,23 @@ def _shift(h, forms):
     block.  The shifted form (e_2, .., e_r, e_1) is moved onto the pinned
     entry by the transporter of e_2, which for r >= 4 is fixed in a head
     block and for r = 3 is kept per value of e_2, and the pinned-entry
-    check runs once per transporter.  Then its least conjugate under the
-    centralizer C of the representative first minimizes the new entry 2,
-    so the rows of _least_rows at that entry give it: the one row, or the
-    least of the images under a tie.  The image's block is found from its
-    head, in which the label of entry r-1 is that of the block's entries
-    r, and bisected."""
+    check runs once per transporter.  Then the `least` of _centralizer
+    gives its least conjugate, and `forms.find` its number."""
     T = h.tables()
     conj, label, transporter = T.conj, T.label, T.to_rep
-    heads, cols = forms.heads, forms.cols
-    mid, end = cols[-2], cols[-1]
-    pinned = {}     # e_2 -> its transporter's row, and the least rows
+    find, mid, end = forms.find, forms.cols[-2], forms.cols[-1]
+    pinned = {}     # e_2 -> its transporter's row, and least
 
     def pin(x):
-        lab = label[x]
         to_rep = conj[transporter[x]]
-        if to_rep[x] != h.memo(_class_data, h, lab)[0]:
+        rep, _, least = h.memo(_centralizer, h, label[x])
+        if to_rep[x] != rep:
             raise ConsistencyError("canonical form lost its pinned entry")
-        return (to_rep, *h.memo(_least_rows, h, lab))
+        return to_rep, least
     out = array("i")
     append = out.append
-    for key, (lo, hi) in heads.items():
+    for key, (lo, hi) in forms.heads.items():
         prefix = key[:-1]
-        last = (label[end[lo]],)
         xs = mid[lo:hi]
         seconds = xs if len(prefix) == 1 else repeat(prefix[1], hi - lo)
         e2 = None
@@ -457,26 +450,11 @@ def _shift(h, forms):
                 d = pinned.get(z)
                 if d is None:
                     d = pinned[z] = pin(z)
-                to_rep, single, ties = d
+                to_rep, least = d
                 # the transported prefix after e_2, and e_1
                 rest = tuple(map(to_rep.__getitem__, prefix[1:]))
                 first = to_rep[prefix[0]]
-            base = (*rest, to_rep[x], to_rep[y], first)
-            row = single[base[1]]
-            if row is not None:
-                img = tuple(map(row.__getitem__, base))
-            else:
-                img = min([tuple(map(row.__getitem__, base))
-                           for row in ties[base[1]]])
-            block = heads.get(img[:-2] + last)
-            if block is None:
-                append(-1)
-                continue
-            u = img[-2]
-            tlo, thi = block
-            k = bisect_left(mid, u, tlo, thi)
-            append(k if k < thi and mid[k] == u and end[k] == img[-1]
-                   else -1)
+            append(find(least((*rest, to_rep[x], to_rep[y], first))))
     return out
 
 

@@ -143,13 +143,14 @@ def _middle_product_uv(h, g2, g3):
     Z = {z for z in H if T.conj[g2][z] == z == T.conj[g3][z]}
     cyc = closure(e, [lambda x: m2[m3[x]]])         # <g2 g3>
     u = len(cyc) // len(cyc & Z)
+    # q2^(2j) is conjugation by (g2 g3)^j, so the even powers fixing the
+    # pair are the multiples of 2u, and q2^(2j+1) fixes it iff that
+    # conjugation takes g2 to g3, which forces 2j+1 = u
     if u % 2:
-        y = e
+        c = e
         for _ in range((u - 1) // 2):
-            y = m3[m2[y]]                           # (g3 g2)^j
-        # g3 y is conjugate to y g3
-        x = m3[y]
-        if x != e and T.inv[x] == x:
+            c = m2[m3[c]]                           # (g2 g3)^j
+        if T.conj[c][g2] == g3:
             return u, u
     return u, 2 * u
 
@@ -225,12 +226,18 @@ def reduced_genus(rc):
 
 def sh_incidence(rc):
     """Matrix |O_i  meet  sh(O_j)| over the cusps of one component;
-    symmetric for r=4, rows summing to the widths."""
+    symmetric for r=4, rows summing to the widths.  sh normalizes Q'', so
+    rep_of after sh permutes the reps, and the matrix is counted in one
+    pass: each rep t adds 1 at (cusp of rep_of[sh[t]], cusp of t)."""
     cusp_list = rc.cusps
-    shift = rc.orbit.moves[-1]
-    sets = [set(c.reps) for c in cusp_list]
-    sh_sets = [{rc.rep_of[shift[t]] for t in s} for s in sets]
-    M = [[len(s & t) for t in sh_sets] for s in sets]
+    shift, rep_of = rc.orbit.moves[-1], rc.rep_of
+    cusp_of = {t: i for i, c in enumerate(cusp_list) for t in c.reps}
+    images = [rep_of[shift[t]] for t in rc.reps]
+    if sorted(images) != rc.reps.tolist():
+        raise ConsistencyError("rep_of after sh does not permute the reps")
+    M = [[0] * len(cusp_list) for _ in cusp_list]
+    for t, s in zip(rc.reps, images):
+        M[cusp_of[s]][cusp_of[t]] += 1
     if M != [list(col) for col in zip(*M)]:
         raise ConsistencyError("sh-incidence matrix not symmetric")
     if [sum(row) for row in M] != [c.width for c in cusp_list]:

@@ -1,10 +1,10 @@
 """References for hurwitz, used by the tests only: the set-based orbit
 partition; the tuple-level engine (braid moves on NielsenTuples, the BFS
 orbit, canonical forms, brute enumeration, the Nielsen predicate and
-shape tests); the numbered class as a tuple list and a dict, the
-reference for the packed class; the orbit cache file's data, read off
-the NielsenTuples; and closed-form lift values, cross-checks for
-hurwitz.lift."""
+shape tests, the centralizer); the numbered class as a tuple list and a
+dict, the reference for the packed class; the sh-incidence matrix by set
+intersections; the orbit cache file's data, read off the NielsenTuples;
+and closed-form lift values, cross-checks for hurwitz.lift."""
 
 import hashlib
 import json
@@ -62,6 +62,11 @@ def braid_moves(spec):
     moves = [lambda t, i=i: q_twist(spec, i, t) for i in range(1, spec.r)]
     moves.append(lambda t: sh(spec, t))
     return moves
+
+
+def centralizer(h, g):
+    """The elements of h that commute with g, by tuple arithmetic."""
+    return [z for z in h.elements() if h.mul(g, z) == h.mul(z, g)]
 
 
 def is_nielsen(spec, t):
@@ -230,6 +235,19 @@ def tuple_class(spec):
     number = {e: k for k, e in enumerate(forms)}
     return forms, number, form_table(h, forms, lambda e: number.get(e, -1),
                                      index_moves(h.tables(), spec.r))
+
+
+# ---------------------------------------------------------------------
+# the sh-incidence matrix
+
+def sh_incidence_sets(rc):
+    """|O_i  meet  sh(O_j)| over the cusps O_i of the reduced component
+    rc, each cusp a set of reps and its sh image the reps of its shifted
+    forms."""
+    shift = rc.orbit.moves[-1]
+    sets = [set(c.reps) for c in rc.cusps]
+    sh_sets = [{rc.rep_of[shift[t]] for t in s} for s in sets]
+    return [[len(s & t) for t in sh_sets] for s in sets]
 
 
 # ---------------------------------------------------------------------

@@ -111,6 +111,10 @@ def test_exit_codes(tmp_path, a4_file):
     assert cli.run(["--spec", a4_file, "--budget", "3"]) == cli.EXIT_BUDGET
     assert cli.run(["--spec", a4_file, "--budget", "-1"]) == cli.EXIT_CONFIG
     assert cli.run(["--spec", a4_file, "--cmd", "bogus"]) == cli.EXIT_CONFIG
+    # a composite ell, on which the lift invariant is no invariant
+    bad.write_text(json.dumps({**A4_SPEC, "group": {**A4_SPEC["group"],
+                                                    "ell": 4}}))
+    assert cli.run(["--spec", str(bad), "--cmd", "lift"]) == cli.EXIT_CONFIG
     # the trivial dihedral group, whose unit group (Z/1)^x has no
     # generators: an empty class, not a config error
     trivial = tmp_path / "trivial.json"

@@ -265,6 +265,13 @@ def test_central_extension_rejects_bad_ell():
         central_extension("k22z3", 3, 0)
 
 
+@pytest.mark.parametrize("family", ["affine2", "heis2", "k22z3"])
+def test_composite_ell_is_rejected(family):
+    for ell in (4, 6, 9):
+        with pytest.raises(ValueError, match="needs ell prime"):
+            make_group({"family": family, "ell": ell, "k": 0, "order": 3})
+
+
 # ---------------------------------------------------------------------
 # gl_orders
 

@@ -94,22 +94,30 @@ def test_inner_canonical_is_true_minimum():
         assert t.entries == min(orbit)
 
 
+# the last three meet a tie: the stabilizer of entry 2 in the centralizer
+# of the pinned entry acts nontrivially
 _BRUTE_SPECS = {"a4": (A4, ("C+", "C+", "C-", "C-")),
                 "d5": (D5, ("2",) * 4),
                 "s30": (S30, ("2",) * 4),
-                "a5": (A5, ("5+", "5-", "3"))}
+                "a5": (A5, ("5+", "5-", "3")),
+                "a5-2222": (A5, ("2.2",) * 4),
+                "s4-2223": ({"family": "symmetric", "n": 4},
+                            ("2.2", "2", "2", "3")),
+                "d8": ({"family": "dihedral", "m": 8},
+                       ("2", "2", "2_1", "2_1"))}
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(sorted(_BRUTE_SPECS)), st.integers(0, 10 ** 6),
        st.integers(0, 10 ** 6))
 def test_inner_canonical_is_brute_minimum(name, i, zi):
-    # a random Nielsen tuple: an enumerated form under a random
-    # conjugation; its canonical form is the least of all |G| conjugates
+    # a random product-one tuple: a form of the numbered class (A5 2.2^4
+    # has no generating one) under a random conjugation; its canonical
+    # form is the least of all |G| conjugates
     spec = spec_of(*_BRUTE_SPECS[name])
     h = spec.group
-    forms = enumerate_tuples(spec)
-    t = forms[i % len(forms)]
+    forms = nielsen_class(spec).forms
+    t = from_indices(h.tables(), forms[i % len(forms)])
     z = h.elements()[zi % h.order]
     moved = NielsenTuple(t.labels, tuple(h.conj(g, z) for g in t.entries))
     brute = min(tuple(h.conj(g, y) for g in moved.entries)

@@ -15,7 +15,8 @@ from hurwitz.nielsen import (NielsenSpec, nielsen_class, absolute_class_map,
                              index_moves, canonizer, transport)
 from hurwitz.braid import all_orbits, component_lattice
 from hurwitz.lift import _next_level, _reduction, level_up, tower_lift
-from oracles import form_table, head_blocks, tuple_class, partition
+from oracles import (form_table, head_blocks, tuple_class, partition,
+                     centralizer)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 DI7 = {"family": "affine2", "ell": 7, "k": 0, "order": 3}
@@ -98,6 +99,22 @@ def test_derived_twists_are_the_direct_form_table(name):
     assert len(nc.moves) == spec.r
 
 
+@pytest.mark.parametrize("name", sorted({str(g): name for name, (g, _)
+                                          in SPECS.items()}.values()))
+def test_centralizer_record_is_the_brute_centralizer(name):
+    # per class of each group: the conjugation rows of the noncentral
+    # elements of the tuple-level centralizer, each row once (a central
+    # element's row is the identity's)
+    h = spec_of(name).group
+    T = h.tables()
+    for label, cl in h.classes().items():
+        rep, rows, _ = nielsen._centralizer(h, label)
+        assert rep == T.index[cl.rep]
+        brute = {tuple(T.conj[T.index[z]]) for z in centralizer(h, cl.rep)
+                 if len(h.class_of(z)) > 1}
+        assert sorted(map(tuple, rows)) == sorted(brute)
+
+
 def test_last_twist_meets_a_nontrivial_head_stabilizer():
     # where the twisted tuple itself is not canonical, _last_twist has to
     # minimize over the stabilizer of the head; the test above holds its
@@ -125,7 +142,7 @@ def test_shift_meets_a_tie_at_the_new_entry_two():
         canon = canonizer(h)
         for e in nielsen_class(spec).forms:
             c = canon(e[1:] + e[:1])
-            rows = nielsen._class_data(h, T.label[c[0]])[1]
+            rows = nielsen._centralizer(h, T.label[c[0]])[1]
             if any(row[c[1]] == c[1] for row in rows):
                 tied.add(name)
                 break

@@ -6,13 +6,14 @@ import pytest
 
 from hurwitz import cli, reduced
 from hurwitz.groups import (PSL2, ConsistencyError, make_group, cen_in_Sn,
-                            gl_orders)
+                            gl_orders, closure)
 from hurwitz.nielsen import NielsenSpec, enumerate_tuples
 from hurwitz.braid import all_orbits
 from hurwitz.reduced import (reduce_orbit, gamma_actions, cusps,
                              reduced_genus, sh_incidence, moduli_checks,
                              wohlfahrt)
-from oracles import orbit, partition
+from oracles import orbit, partition, sh_incidence_sets
+from test_orderly import SPECS, spec_of as orderly_spec
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 D5 = {"family": "dihedral", "m": 5}
@@ -185,6 +186,46 @@ def test_sh_incidence_a4(a4_reduced):
                    for j in range(len(M)))
         assert [sum(row) for row in M] == [c.width for c in cl]
         assert sum(map(sum, M)) == rc.degree
+
+
+@pytest.mark.parametrize("name", [n for n in sorted(SPECS)
+                                  if len(SPECS[n][1]) == 4] +
+                         ["a4-level%d" % k for k in (1, 2)])
+def test_sh_incidence_is_the_set_intersections(name):
+    # the counted matrix against the set-intersection formula
+    if name.startswith("a4-level"):
+        orbits = _a4_orbits(int(name[-1]))
+    else:
+        orbits = all_orbits(orderly_spec(name))
+    for o in orbits:
+        rc = reduce_orbit(o)
+        assert sh_incidence(rc)[0] == sh_incidence_sets(rc)
+
+
+@pytest.mark.parametrize("gspec", [A4, D5, {"family": "dihedral", "m": 8},
+                                   {"family": "symmetric", "n": 4}])
+def test_middle_product_prediction_is_the_raw_q2_orbit_length(gspec):
+    # v of every pair of elements against its orbit under the raw q2,
+    # (a, b) -> (a b a^-1, a); on D8 and S4 the cusps meet pairs of
+    # distinct commuting involutions (u = 1, orbit length 2)
+    h = make_group(gspec)
+    T = h.tables()
+    for a in range(h.order):
+        for b in range(h.order):
+            q2 = closure((a, b), [lambda p: (T.conj[p[0]][p[1]], p[0])])
+            assert reduced._middle_product_uv(h, a, b)[1] == len(q2)
+
+
+def test_sh_incidence_gate_raises_when_sh_does_not_permute_the_reps():
+    o = _a4_orbits()[0]
+    rc = reduce_orbit(o)
+    rc.cusps
+    # the shifted forms of two reps, sent to one Q'' orbit
+    shift = o.moves[-1]
+    a, b = rc.reps[:2]
+    rc.rep_of[shift[b]] = rc.rep_of[shift[a]]
+    with pytest.raises(ConsistencyError, match="does not permute the reps"):
+        sh_incidence(rc)
 
 
 def test_moduli_checks_a4(a4_spec, a4_reduced):

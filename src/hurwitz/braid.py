@@ -7,7 +7,7 @@ from array import array
 from functools import cached_property
 
 from . import nielsen    # one name per memoized class derivation
-from .groups import ConsistencyError, orbit_arrays, orbit_ids
+from .groups import ConsistencyError, automorphisms, orbit_arrays, orbit_ids
 from .nielsen import NielsenTuple, Moves, canonizer, from_indices
 
 
@@ -106,15 +106,15 @@ def braidable(spec, braid_orbit, a):
 
 
 class ComponentLattice:
-    def __init__(self, spec, inner_orbits, abs_orbits, covering, v_data):
+    def __init__(self, spec, inner_orbits, abs_orbits, covering, counts):
         self.spec = spec
         self.inner_orbits = inner_orbits
         self.abs_orbits = abs_orbits
         self.covering = covering      # inner orbit index -> abs orbit index
-        self.v_data = v_data          # abs orbit index -> dict
+        self.counts = counts          # abs orbit index -> v
 
     def v(self, abs_index):
-        return self.v_data[abs_index]["v"]
+        return self.counts[abs_index]
 
 
 def component_lattice(spec):
@@ -148,8 +148,9 @@ def component_lattice(spec):
                                    "inner-orbit merge")
 
     # v per absolute orbit, verified against braidable coset representatives
-    reps = spec.group.coset_rep_auts(spec.labels)
-    v_data = {}
+    h = spec.group
+    reps = h.memo(automorphisms, h, spec.labels, spec.budget)[1]
+    counts = []
     for i in range(len(abs_orbits)):
         above = [j for j in covering if covering[j] == i]
         v = len(above)
@@ -159,6 +160,5 @@ def component_lattice(spec):
             raise ConsistencyError(
                 "component count v=%d inconsistent with braidable index "
                 "%d/%d" % (v, len(reps), nbraidable))
-        v_data[i] = {"v": v, "inner_above": above,
-                     "coset_reps": len(reps), "braidable": nbraidable}
-    return ComponentLattice(spec, inner_orbits, abs_orbits, covering, v_data)
+        counts.append(v)
+    return ComponentLattice(spec, inner_orbits, abs_orbits, covering, counts)

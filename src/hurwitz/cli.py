@@ -147,7 +147,7 @@ def cmd_orbits(spec):
         "inner_sizes": [o.size for o in lat.inner_orbits],
         "absolute_sizes": [o.size for o in lat.abs_orbits],
         "covering": {str(j): i for j, i in sorted(lat.covering.items())},
-        "v": {str(i): lat.v_data[i]["v"] for i in lat.v_data},
+        "v": {str(i): v for i, v in enumerate(lat.counts)},
     }
     return out
 

@@ -265,15 +265,17 @@ class GroupHandle(Memo):
         return self.memo(ElementTables, self)
 
     # -- automorphism data (families override) ------------------------
-    def aut_gens(self, labels):
-        """Generators of the normalizer/automorphism action used for
-        absolute equivalence; must preserve the labelled class multiset."""
-        return fallback_aut_gens(self, labels)
+    def aut_gens(self):
+        """Maps generating the normalizer action used for absolute
+        equivalence; `automorphisms` takes the stabilizer of a class
+        multiset.  By default every automorphism (|G| <= 500)."""
+        return [m.__getitem__ for m in self.memo(_automorphism_maps, self)]
 
-    def coset_rep_auts(self, labels):
-        """A complete family of coset representatives used to verify the
-        component count v of the inner->absolute covering."""
-        return fallback_aut_gens(self, labels)
+    def coset_rep_auts(self):
+        """Maps making a complete family of coset representatives, used
+        to verify the component count v of the inner->absolute
+        covering."""
+        return self.aut_gens()
 
     # -- permutation representations ----------------------------------
     def stabilizer(self, T):
@@ -499,15 +501,12 @@ class Alternating(PermGroup):
     def to_spec(self):
         return {"family": "alternating", "n": self.n}
 
-    def aut_gens(self, labels):
+    def aut_gens(self):
         t = (1, 0) + tuple(range(2, self.n))
+        return [lambda g: _pmul(_pmul(t, g), t)]
 
-        def a(g):
-            return _pmul(_pmul(t, g), t)
-        return [a] if _aut_preserves(self, a, labels) else []
-
-    def coset_rep_auts(self, labels):
-        return [lambda g: g] + self.aut_gens(labels)
+    def coset_rep_auts(self):
+        return [lambda g: g] + self.aut_gens()
 
 
 class Symmetric(PermGroup):
@@ -519,10 +518,10 @@ class Symmetric(PermGroup):
     def to_spec(self):
         return {"family": "symmetric", "n": self.n}
 
-    def aut_gens(self, labels):
+    def aut_gens(self):
         return []
 
-    def coset_rep_auts(self, labels):
+    def coset_rep_auts(self):
         return [lambda g: g]
 
 
@@ -569,10 +568,10 @@ class Dihedral(GroupHandle):
     def _unit_maps(self, bs):
         return [lambda g, b=b: (g[0], (b * g[1]) % self.m) for b in bs]
 
-    def aut_gens(self, labels):
+    def aut_gens(self):
         return self._unit_maps(unit_gens(self.m))
 
-    def coset_rep_auts(self, labels):
+    def coset_rep_auts(self):
         units = [b for b in range(1, self.m) if math.gcd(b, self.m) == 1]
         return self._unit_maps(units)
 
@@ -683,30 +682,24 @@ class Affine2(GroupHandle):
                 [lambda g, N=N: ((-g[0]) % o, _matvec(N, g[1], L))
                  for N in twists])
 
-    def aut_gens(self, labels):
+    def aut_gens(self):
         if self.aut_order == 2:
             b = unit_gens(self.L)[0] if self.ell != 2 else 1
-            gens = self._vec_maps([((1, 1), (0, 1)), ((1, 0), (1, 1)),
+            return self._vec_maps([((1, 1), (0, 1)), ((1, 0), (1, 1)),
                                    ((b, 0), (0, b))])
-        else:
-            # centralizer units x + y*A of A*, plus the A <-> A^2 swap
-            gens = self._vec_maps(self._za_unit_gens(),
-                                  twists=[((0, 1), (1, 0))])
-        return [a for a in gens if _aut_preserves(self, a, labels)]
+        # centralizer units x + y*A of A*, plus the A <-> A^2 swap
+        return self._vec_maps(self._za_unit_gens(), twists=[((0, 1), (1, 0))])
 
-    def coset_rep_auts(self, labels):
+    def coset_rep_auts(self):
         if self.aut_order == 2:
             # scalar coset reps of the braidable part, per the normalizer
             # action b:(a,a') -> b(a,a')
-            maps = self._vec_maps(
+            return self._vec_maps(
                 [((b, 0), (0, b))
                  for b in range(1, self.L) if math.gcd(b, self.ell) == 1])
-        else:
-            units = self._za_units()
-            maps = self._vec_maps(
-                units, twists=[_matmul(((0, 1), (1, 0)), M, self.L)
-                               for M in units])
-        return [a for a in maps if _aut_preserves(self, a, labels)]
+        units = self._za_units()
+        return self._vec_maps(units, twists=[_matmul(((0, 1), (1, 0)), M,
+                                                     self.L) for M in units])
 
     def _za_units(self):
         """The matrices x + y*A* with a unit determinant."""
@@ -741,17 +734,6 @@ class Affine2(GroupHandle):
         if T == "alpha-cosets" and self.aut_order == 3:
             return [(c, (0, 0)) for c in range(3)]
         return super().stabilizer(T)
-
-
-def _aut_preserves(h, a, labels):
-    """Does automorphism a preserve the labelled class multiset?"""
-    classes = h.classes()
-    want = sorted(labels)
-    got = []
-    for lab in labels:
-        img = a(classes[lab].rep)
-        got.append(h.class_of(img).label)
-    return sorted(got) == want
 
 
 # ---------------------------------------------------------------------
@@ -962,10 +944,55 @@ def _extend_hom(h, gens, images):
     return m
 
 
-def fallback_aut_gens(h, labels):
-    maps = h.memo(_automorphism_maps, h)
-    auts = [m.__getitem__ for m in maps]
-    return [a for a in auts if _aut_preserves(h, a, labels)]
+def automorphisms(h, labels, budget):
+    """(gens, reps): the normalizer action on the labelled class multiset
+    `labels`, the one place it is derived; read through h.memo.  `gens`
+    generate the stabilizer of the multiset in the group of `h.aut_gens()`,
+    each an array('i') permutation of the element indices: by Schreier's
+    lemma, a BFS over the orbit of the multiset keeps one transversal
+    permutation t_x per orbit point x, and each point x and generator s
+    give t_y^-1 s t_x, with y = s(x), less the identity and repeats.
+    `reps` are the maps of `h.coset_rep_auts()` that fix the multiset;
+    they stay maps, since a caller applies each one to a few tuples only.
+    Raises BudgetExceeded once orbit points x generators x |G| passes
+    `budget`."""
+    T = h.tables()
+    rep = {lab: T.index[cl.rep] for lab, cl in T.classes.items()}
+
+    def image(ms, f):
+        # the multiset ms under f, a map on the element indices
+        return tuple(sorted(T.label[f(rep[lab])] for lab in ms))
+
+    maps = h.aut_gens()
+    base = tuple(sorted(labels))
+    ident = array("i", range(h.order))
+    moves = [array("i", [T.index[a(g)] for g in T.els]) for a in maps]
+    transversal = {base: (ident, ident)}    # point -> (t, t^-1)
+    points = [base]
+    gens = {}
+    for x in points:        # the queue grows as it is read
+        if len(points) * len(maps) * h.order > budget:
+            raise BudgetExceeded(
+                "the stabilizer of the class multiset: %d orbit points x "
+                "%d generators x |G| %d exceeds the budget %d"
+                % (len(points), len(maps), h.order, budget))
+        t = transversal[x][0]
+        for s in moves:
+            st = array("i", map(s.__getitem__, t))
+            y = image(x, s.__getitem__)
+            if y not in transversal:
+                inv = array("i", ident)
+                for i, j in enumerate(st):
+                    inv[j] = i
+                transversal[y] = (st, inv)
+                points.append(y)
+                continue
+            g = array("i", map(transversal[y][1].__getitem__, st))
+            if g != ident:
+                gens.setdefault(g.tobytes(), g)
+    reps = [a for a in h.coset_rep_auts()
+            if image(base, lambda x: T.index[a(T.els[x])]) == base]
+    return list(gens.values()), reps
 
 
 # ---------------------------------------------------------------------

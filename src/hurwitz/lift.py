@@ -260,10 +260,11 @@ def bcl_data(spec):
     M_inn = [u for u in _units(N) if powered(u) == base]
 
     # orbit of the label multiset under the automorphism generators
+    T = h.tables()
+    rep = {lab: T.index[cl.rep] for lab, cl in T.classes.items()}
     reachable = closure(base, [
-        lambda ms, a=a: tuple(sorted(h.class_of(a(h.classes()[lab].rep)).label
-                                     for lab in ms))
-        for a in spec.aut_gens()])
+        lambda ms, p=p: tuple(sorted(T.label[p[rep[lab]]] for lab in ms))
+        for p in spec.aut_gens()])
     M_abs = [u for u in _units(N) if powered(u) in reachable]
 
     return BCLData(N, M_inn, M_abs, len(M_inn) == len(_units(N)))

@@ -34,7 +34,7 @@ from itertools import chain, product, permutations, repeat
 from typing import NamedTuple
 
 from .groups import (Memo, make_group, ConsistencyError, BudgetExceeded,
-                     orbit_arrays, cycles)
+                     automorphisms, orbit_arrays, cycles)
 
 
 class NielsenTuple(NamedTuple):
@@ -88,7 +88,10 @@ class NielsenSpec(Memo):
         return self._twin
 
     def aut_gens(self):
-        return self.group.memo(self.group.aut_gens, self.labels)
+        """The generators of the stabilizer of the class multiset, as
+        permutations of the element indices (groups.automorphisms)."""
+        return self.group.memo(automorphisms, self.group, self.labels,
+                               self.budget)[0]
 
     def to_json(self):
         return {"group": self.group.to_spec(), "classes": list(self.labels),
@@ -173,12 +176,6 @@ def from_indices(T, e):
     """The NielsenTuple of the index tuple e, on the shared elements."""
     return NielsenTuple(tuple(map(T.label.__getitem__, e)),
                         tuple(map(T.els.__getitem__, e)))
-
-
-def _aut_perm(h, a):
-    """The automorphism a as a permutation of the element indices."""
-    T = h.tables()
-    return [T.index[a(g)] for g in T.els]
 
 
 def inner_canonical(spec, t):
@@ -541,8 +538,8 @@ def transport(nums, direct, source, target, escaped):
 def absolute_class_map(spec):
     """The absolute class map of the absolute spec, as an array over the
     numbers of its inner class: a generating form's number -> the least
-    number of its component under the automorphism generators (its
-    absolute form), -1 for the non-generating forms.  An automorphism
+    number of its component under the stabilizer of the class multiset
+    (its absolute form), -1 for the non-generating forms.  An automorphism
     commutes with the braid moves, so each generator is canonicalized at
     one form per inner orbit and transported over the rest.  Callers
     read it through spec.memo, once per spec."""
@@ -551,9 +548,7 @@ def absolute_class_map(spec):
     canon = h.memo(canonizer, h)
     moves = (nc.moves[-2], nc.moves[-1])
     table = []
-    for a in spec.aut_gens():
-        p = h.memo(_aut_perm, h, a)
-
+    for p in spec.aut_gens():
         def direct(k):
             return nc.forms.find(canon(tuple(map(p.__getitem__,
                                                  nc.forms[k]))))

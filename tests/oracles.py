@@ -1,8 +1,9 @@
 """References for hurwitz, used by the tests only: the set-based orbit
 partition; the tuple-level engine (braid moves on NielsenTuples, the BFS
 orbit, canonical forms, brute enumeration, the Nielsen predicate and
-shape tests, the centralizer); the numbered class as a tuple list and a
-dict, the reference for the packed class; the sh-incidence matrix by set
+shape tests, the centralizer); the stabilizer of a class multiset and
+the absolute forms by brute force; the numbered class as a tuple list
+and a dict, the reference for the packed class; the sh-incidence matrix by set
 intersections; the orbit cache file's data, read off the NielsenTuples;
 and closed-form lift values, cross-checks for hurwitz.lift."""
 
@@ -15,7 +16,8 @@ from hurwitz.braid import BraidOrbit, q_twist
 from hurwitz.groups import ConsistencyError, closure
 from hurwitz.lift import lift_moduli_degree, orbit_lift_invariant
 from hurwitz.nielsen import (NielsenTuple, Forms, Moves, canonizer,
-                             from_indices, index_moves, inner_canonical)
+                             enumerate_tuples, from_indices, index_moves,
+                             inner_canonical)
 
 
 # ---------------------------------------------------------------------
@@ -86,19 +88,55 @@ def is_nielsen(spec, t):
     return h.generates(list(t.entries))
 
 
-def apply_aut(spec, a, t):
-    """Automorphism on a tuple: map entries, recompute labels, and return
-    the inner canonical form."""
+def apply_aut(spec, p, t):
+    """Automorphism on a tuple, given as a permutation p of the element
+    indices: map entries, recompute labels, and return the inner
+    canonical form."""
     h = spec.group
     T = h.tables()
-    return from_indices(T, h.memo(canonizer, h)(T.indices(map(a, t.entries))))
+    return from_indices(T, h.memo(canonizer, h)(
+        tuple(p[i] for i in T.indices(t.entries))))
 
 
 def absolute_canonical(spec, t):
     """Min over the closure of the inner form under the automorphism
     generators (the same value the orbit machinery assigns)."""
     return min(closure(inner_canonical(spec, t), [
-        lambda t, a=a: apply_aut(spec, a, t) for a in spec.aut_gens()]))
+        lambda t, p=p: apply_aut(spec, p, t) for p in spec.aut_gens()]))
+
+
+def stabilizer_maps(h, labels):
+    """Every map of the group the family's `aut_gens` generate that fixes
+    the labelled class multiset `labels`, by brute force: the closure of
+    those tuple maps under composition, each map a tuple of the images
+    of the elements in index order, filtered by the multiset."""
+    T = h.tables()
+    classes = h.classes()
+    base = sorted(labels)
+    group = closure(tuple(T.els), [lambda m, a=a: tuple(map(a, m))
+                                   for a in h.aut_gens()])
+    return sorted(m for m in group
+                  if sorted(h.class_of(m[T.index[classes[lab].rep]]).label
+                            for lab in labels) == base)
+
+
+def stabilizer_forms(spec):
+    """The absolute forms of spec by brute force: the least NielsenTuple
+    of each class of generating inner forms under every map of
+    stabilizer_maps, in order."""
+    h = spec.group
+    T = h.tables()
+    canon = h.memo(canonizer, h)
+    perms = [T.indices(m) for m in stabilizer_maps(h, spec.labels)]
+    seen, out = set(), []
+    for t in enumerate_tuples(spec.as_inner()):
+        if t not in seen:
+            e = T.indices(t.entries)
+            orbit = {from_indices(T, canon(tuple(p[i] for i in e)))
+                     for p in perms}
+            seen |= orbit
+            out.append(min(orbit))
+    return sorted(out)
 
 
 def canonical(spec, t):

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hurwitz import nielsen
-from hurwitz.groups import make_group, ConsistencyError, BudgetExceeded
+from hurwitz.groups import (make_group, ConsistencyError, BudgetExceeded,
+                            automorphisms)
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                              enumerate_tuples, absolute_class_map,
                              nielsen_class, index_moves, from_indices,
@@ -141,7 +142,7 @@ def test_orbit_escape_is_an_inconsistency(a4_spec, a4_forms,
     # the absolute class map canonicalizes before transporting it, missing
     # from the class numbering
     abs_spec = spec_of(A4, a4_spec.labels, "absolute")
-    perm = nielsen._aut_perm(h, abs_spec.aut_gens()[0])
+    perm = abs_spec.aut_gens()[0]
     seed = nc.forms[min(nc.orbits[0])]
     gone = h.memo(canonizer, h)(tuple(map(perm.__getitem__, seed)))
     assert nc.forms.find(gone) >= 0
@@ -228,15 +229,18 @@ def test_braidable_seed_suffices(a4_spec):
     # conjugation commutes with braids: testing any member agrees with
     # testing the seed
     orbs = all_orbits(a4_spec)
-    reps = a4_spec.group.coset_rep_auts(a4_spec.labels)
+    h = a4_spec.group
+    T = h.tables()
+    reps = automorphisms(h, a4_spec.labels, a4_spec.budget)[1]
     rng = random.Random(11)
     for o in orbs:
         for a in reps[:6]:
             base = braidable(a4_spec, o, a)
+            perm = T.indices(map(a, T.els))
             members = sorted(o.members)
             for t in rng.sample(members, 3):
                 sub = orbit(a4_spec, min(o.members))
-                assert (apply_aut(a4_spec, a, t) in sub.members) == base
+                assert (apply_aut(a4_spec, perm, t) in sub.members) == base
 
 
 _S50_CACHE = {"spec": spec_of(S50, ("2",) * 4)}

@@ -122,6 +122,13 @@ def test_exit_codes(tmp_path, a4_file):
                                    "classes": ["1", "1", "1"]}))
     assert cli.run(["--spec", str(trivial), "--cmd", "report", "--out",
                     str(tmp_path / "trivial")]) == cli.EXIT_OK
+    # a class multiset that the dihedral unit generator moves: the
+    # absolute classes are those of its stabilizer, {1, 6}
+    moved = tmp_path / "moved.json"
+    moved.write_text(json.dumps({"group": {"family": "dihedral", "m": 7},
+                                 "classes": ["2", "2", "rot1", "rot1"]}))
+    assert cli.run(["--spec", str(moved), "--cmd", "orbits", "--out",
+                    str(tmp_path / "moved")]) == cli.EXIT_OK
     # removed options are rejected by the parser
     assert cli.run(["--spec", a4_file, "--jobs", "2"]) == cli.EXIT_CONFIG
     assert cli.run(["--spec", a4_file, "--format", "text"]) == \
@@ -260,7 +267,8 @@ def test_spec_hash_loads_no_openssl():
 
 # the top-level modules a fresh `python -S` holds once it has imported
 # hurwitz.cli, on CPython 3.11; 3.10 also loads the old regex modules and
-# _locale, 3.12 has _sha2 for _sha256, and 3.13 adds linecache
+# _locale, 3.12 has _sha2 for _sha256, 3.13 adds linecache, and its later
+# releases errno, which `import os` itself loads there
 CLI_IMPORTS = set("""
     __main__ _abc _bisect _codecs _collections _collections_abc
     _frozen_importlib _frozen_importlib_external _functools _imp _io _json
@@ -269,7 +277,7 @@ CLI_IMPORTS = set("""
     encodings enum functools genericpath gettext hurwitz io itertools json
     keyword marshal math operator os posix posixpath re reprlib stat sys
     time types typing warnings zipimport
-    _locale sre_compile sre_constants sre_parse _sha2 linecache
+    _locale sre_compile sre_constants sre_parse _sha2 linecache errno
     """.split())
 
 

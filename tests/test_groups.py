@@ -5,9 +5,10 @@ import pytest
 
 from hurwitz import groups as groups_module
 from hurwitz.groups import (make_group, central_extension, central_lift,
-                            gl_orders, cen_in_Sn, ConsistencyError, PSL2,
-                            closure, unit_gens, _gl_brute,
-                            _automorphism_maps, _extend_hom)
+                            gl_orders, cen_in_Sn, ConsistencyError,
+                            BudgetExceeded, PSL2, closure, unit_gens,
+                            _gl_brute, automorphisms, _automorphism_maps,
+                            _extend_hom)
 
 SPECS = [
     {"family": "affine2", "ell": 2, "k": 0, "order": 3},
@@ -142,13 +143,14 @@ def test_generates_matches_tuple_closure(spec):
     ({"family": "alternating", "n": 5}, ("5+", "5-", "3")),
 ], ids=["a4", "serre5", "di5", "a5"])
 def test_automorphism_permutations_match(spec, labels):
-    from hurwitz.nielsen import _aut_perm
+    # every family generator fixes these multisets, so the record's
+    # generators are the family's maps as index permutations
     G = make_group(spec)
     T = G.tables()
-    auts = G.aut_gens(labels)
-    assert auts
-    for a in auts:
-        perm = _aut_perm(G, a)
+    gens, _ = automorphisms(G, labels, 10 ** 8)
+    maps = G.aut_gens()
+    assert gens and len(gens) == len(maps)
+    for perm, a in zip(gens, maps):
         assert sorted(perm) == list(range(G.order))
         assert [T.els[i] for i in perm] == [a(g) for g in T.els]
 
@@ -173,9 +175,26 @@ def test_fallback_automorphisms_sl23():
     assert inner <= {tuple(m[g] for g in els) for m in maps}
     # an assignment that is no homomorphism is refused
     assert _extend_hom(K, gens, [K.identity] * len(gens)) is None
-    # the outer automorphism swaps the two classes of order-3 elements
-    assert len(K.aut_gens(("3",) * 3)) == 12
-    assert len(K.aut_gens(("3", "3_2", "3", "3_2"))) == 24
+    # the outer automorphism swaps the two classes of order-3 elements,
+    # so it lies outside the stabilizer of 3^3, of order 12
+    for labels, order in ((("3",) * 3, 12), (("3", "3_2", "3", "3_2"), 24)):
+        gens, reps = automorphisms(K, labels, 10 ** 8)
+        assert len(closure(tuple(range(K.order)), [
+            lambda x, p=p: tuple(map(p.__getitem__, x)) for p in gens])) \
+            == order
+        assert len(reps) == order
+
+
+def test_stabilizer_is_bounded_by_the_budget():
+    # the multiset {2, 2, rot1, rot5} of D13 has 3 points in its orbit
+    # under the unit 2, which carries rot1, rot5 to rot2, rot3 to rot4,
+    # rot6 (and back): 3 points x 1 generator x |G| 26 = 78
+    D = make_group({"family": "dihedral", "m": 13})
+    labels = ("2", "2", "rot1", "rot5")
+    with pytest.raises(BudgetExceeded, match="exceeds the budget 77"):
+        automorphisms(D, labels, 77)
+    gens, reps = automorphisms(D, labels, 78)
+    assert len(reps) == 4 and len(gens) == 1
 
 
 # ---------------------------------------------------------------------

@@ -94,27 +94,23 @@ def test_inner_canonical_is_true_minimum():
         assert t.entries == min(orbit)
 
 
-# the last three meet a tie: the stabilizer of entry 2 in the centralizer
-# of the pinned entry acts nontrivially
 _BRUTE_SPECS = {"a4": (A4, ("C+", "C+", "C-", "C-")),
                 "d5": (D5, ("2",) * 4),
                 "s30": (S30, ("2",) * 4),
-                "a5": (A5, ("5+", "5-", "3")),
-                "a5-2222": (A5, ("2.2",) * 4),
-                "s4-2223": ({"family": "symmetric", "n": 4},
-                            ("2.2", "2", "2", "3")),
-                "d8": ({"family": "dihedral", "m": 8},
-                       ("2", "2", "2_1", "2_1"))}
+                "a5": (A5, ("5+", "5-", "3"))}
+# these meet a tie: the stabilizer of entry 2 in the centralizer of the
+# pinned entry acts nontrivially
+_TIE_SPECS = {"a5-2222": (A5, ("2.2",) * 4),
+              "s4-2223": ({"family": "symmetric", "n": 4},
+                          ("2.2", "2", "2", "3")),
+              "d8": ({"family": "dihedral", "m": 8},
+                     ("2", "2", "2_1", "2_1"))}
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.sampled_from(sorted(_BRUTE_SPECS)), st.integers(0, 10 ** 6),
-       st.integers(0, 10 ** 6))
-def test_inner_canonical_is_brute_minimum(name, i, zi):
-    # a random product-one tuple: a form of the numbered class (A5 2.2^4
-    # has no generating one) under a random conjugation; its canonical
-    # form is the least of all |G| conjugates
-    spec = spec_of(*_BRUTE_SPECS[name])
+def _check_brute_minimum(spec, i, zi):
+    # a product-one tuple: form i of the numbered class (generating or
+    # not; A5 2.2^4 has no generating one) under conjugation by element
+    # zi; its canonical form is the least of all |G| conjugates
     h = spec.group
     forms = nielsen_class(spec).forms
     t = from_indices(h.tables(), forms[i % len(forms)])
@@ -123,6 +119,22 @@ def test_inner_canonical_is_brute_minimum(name, i, zi):
     brute = min(tuple(h.conj(g, y) for g in moved.entries)
                 for y in h.elements())
     assert inner_canonical(spec, moved) == NielsenTuple(t.labels, brute)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(_BRUTE_SPECS)), st.integers(0, 10 ** 6),
+       st.integers(0, 10 ** 6))
+def test_inner_canonical_is_brute_minimum(name, i, zi):
+    _check_brute_minimum(spec_of(*_BRUTE_SPECS[name]), i, zi)
+
+
+@pytest.mark.parametrize("name", sorted(_TIE_SPECS))
+def test_inner_canonical_is_brute_minimum_at_a_tie(name):
+    # every form, each moved by another element, so the tie branch of
+    # the canonizer is met on each run
+    spec = spec_of(*_TIE_SPECS[name])
+    for i in range(len(nielsen_class(spec).forms)):
+        _check_brute_minimum(spec, i, 7 * i + 1)
 
 
 @pytest.mark.parametrize("gspec,labels", [

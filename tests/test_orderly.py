@@ -10,13 +10,15 @@ import tracemalloc
 import pytest
 
 from hurwitz import nielsen
-from hurwitz.groups import make_group, ConsistencyError
+from hurwitz.groups import (make_group, automorphisms, closure,
+                            ConsistencyError)
 from hurwitz.nielsen import (NielsenSpec, nielsen_class, absolute_class_map,
-                             index_moves, canonizer, transport)
+                             enumerate_tuples, index_moves, canonizer,
+                             transport)
 from hurwitz.braid import all_orbits, component_lattice
 from hurwitz.lift import _next_level, _reduction, level_up, tower_lift
 from oracles import (form_table, head_blocks, tuple_class, partition,
-                     centralizer)
+                     centralizer, stabilizer_maps, stabilizer_forms)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 DI7 = {"family": "affine2", "ell": 7, "k": 0, "order": 3}
@@ -43,6 +45,7 @@ SPECS = {
     "a5-c34": (A5, ("3",) * 4),
     "a5-c35": (A5, ("3",) * 5),
     "a5-553": (A5, ("5+", "5-", "3")),
+    "a5-2223": (A5, ("2.2", "2.2", "2.2", "3")),
     "a5-2222": (A5, ("2.2",) * 4),
     "a6-2234": ({"family": "alternating", "n": 6}, ("2.2", "2.2", "3", "4.2")),
     "s4-2223": (S4, ("2.2", "2", "2", "3")),
@@ -146,7 +149,7 @@ def test_shift_meets_a_tie_at_the_new_entry_two():
             if any(row[c[1]] == c[1] for row in rows):
                 tied.add(name)
                 break
-    assert {"a5-2222", "s4-2223", "s4-3344", "d8"} <= tied
+    assert {"a5-2222", "a5-2223", "s4-2223", "s4-3344", "d8"} <= tied
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
@@ -157,9 +160,7 @@ def test_transported_class_map_is_the_direct_one(name):
     canon = h.memo(canonizer, h)
     moves = (nc.moves[0], nc.moves[-1])
     table = []
-    for a in spec.aut_gens():
-        perm = nielsen._aut_perm(h, a)
-
+    for perm in spec.aut_gens():
         def direct(k):
             return nc.forms.find(canon(tuple(map(perm.__getitem__,
                                                  nc.forms[k]))))
@@ -174,6 +175,46 @@ def test_transported_class_map_is_the_direct_one(name):
         for k in o:
             cmap[k] = min(o)
     assert list(absolute_class_map(spec)) == cmap
+
+
+# class multisets that a generator of the family's maps moves, each with
+# its number of absolute forms: the stabilizer is {1, 6} of the units of
+# Z/7, {1, 5, 8, 12} of Z/13, and of order 8 and 4 in the 240 and 1 008
+# maps of affine2 order 2 at ell = 5 and 7
+MOVED = {
+    "d7-2211": (dihedral(7), ("2", "2", "rot1", "rot1"), 12),
+    "d13-2215": (dihedral(13), ("2", "2", "rot1", "rot5"), 12),
+    "serre5-2211": ({**SERRE3, "ell": 5}, ("2", "2", "c0|0,1", "c0|1,0"), 6),
+    "serre7-2211": (SERRE7, ("2", "2", "c0|0,1", "c0|1,0"), 12),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECS) + sorted(MOVED))
+def test_absolute_forms_are_the_stabilizer_classes(name):
+    # the record's generators generate the brute stabilizer of the class
+    # multiset, and the absolute forms are the least of each class of
+    # generating inner forms under it
+    if name in MOVED:
+        gspec, labels, count = MOVED[name]
+        spec = NielsenSpec(make_group(gspec), labels, "absolute")
+    else:
+        spec, count = spec_of(name, "absolute"), None
+    h = spec.group
+    T = h.tables()
+    stabilizer = {T.indices(m) for m in stabilizer_maps(h, spec.labels)}
+    assert closure(tuple(range(h.order)), [
+        lambda x, p=p: tuple(map(p.__getitem__, x))
+        for p in spec.aut_gens()]) == stabilizer
+    forms = enumerate_tuples(spec)
+    assert forms == stabilizer_forms(spec)
+    assert count is None or len(forms) == count
+    # the coset representatives kept are those that fix the multiset
+    base = sorted(spec.labels)
+    reps = h.memo(automorphisms, h, spec.labels, spec.budget)[1]
+    assert [T.indices(map(a, T.els)) for a in reps] == [
+        T.indices(map(a, T.els)) for a in h.coset_rep_auts()
+        if sorted(h.class_of(a(h.classes()[lab].rep)).label
+                  for lab in base) == base]
 
 
 @pytest.mark.parametrize("name", TOWERS)

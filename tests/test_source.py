@@ -1,6 +1,7 @@
 """Checks on the program source itself."""
 
 import ast
+import inspect
 from pathlib import Path
 
 from hurwitz import braid, groups, lift, nielsen
@@ -31,3 +32,17 @@ def test_one_engine_in_the_program():
              groups: "Automorphism partition"}
     assert [(m.__name__, name) for m, names in moved.items()
             for name in names.split() if hasattr(m, name)] == []
+
+
+def test_one_normalizer_action_in_the_program():
+    # groups.automorphisms alone tests a map against the class multiset;
+    # the families' maps are plain definitions, with no labels
+    gone = {nielsen: "_aut_perm", groups: "_aut_preserves fallback_aut_gens"}
+    assert [(m.__name__, name) for m, names in gone.items()
+            for name in names.split() if hasattr(m, name)] == []
+    families = [c for c in vars(groups).values()
+                if isinstance(c, type) and issubclass(c, groups.GroupHandle)]
+    assert [(c.__name__, meth) for c in families
+            for meth in ("aut_gens", "coset_rep_auts")
+            if list(inspect.signature(getattr(c, meth)).parameters)
+            != ["self"]] == []

@@ -1,6 +1,6 @@
 """Finite group families used throughout: element arithmetic,
-automorphism data, and the central extensions that feed the
-lift-invariant machinery.
+automorphism data, the tower steps of the parametrized families, and the
+central extensions that feed the lift-invariant machinery.
 
 Elements are plain (nested) tuples of ints, so they hash, compare and
 serialize for free; each family supplies the tuple arithmetic.  The total
@@ -24,6 +24,16 @@ Every orbit computation runs on the primitives defined here: `closure`
 (BFS set), `orbit_arrays` (the orbits of move arrays, each a sorted array
 of numbers, in order of their least member), `orbit_ids` (the orbit of
 each number) and `cycles` (the cycles of a permutation).
+
+A family says what the lift and the tower read of it: `cover()` is the
+central extension the lift invariant is read in (None by default), and
+`next_level()` and `reduce(g, parent)` step up and down its parametrized
+tower (affine2 and dihedral).  The one cover construction is `Extension`:
+the affine2 product on (c, (x, y)) plus a 2-cocycle on an appended
+central coordinate, with the shape maps the lift reads.  Its two
+instances, `heis2` over the order-2 family and `k22z3` over the order-3
+one, are `make_group` families too, interned with the handle that
+`Affine2.cover()` returns.
 
 `PSL2(N)`, the group PSL_2(Z/N), is internal to the Wohlfahrt congruence
 test in `reduced`; it is not a `make_group` family.
@@ -276,6 +286,19 @@ class GroupHandle(Memo):
         to verify the component count v of the inner->absolute
         covering."""
         return self.aut_gens()
+
+    # -- the lift cover and the tower (families override) -------------
+    def cover(self):
+        """The central extension the lift invariant is read in, or None."""
+        return None
+
+    def next_level(self):
+        """The next group of the parametrized family (k -> k+1)."""
+        raise ValueError("no parametrized tower for family %r" % self.family)
+
+    def reduce(self, g, parent):
+        """The image of g in `parent`, a lower level of the tower."""
+        raise ValueError("no parametrized tower for family %r" % self.family)
 
     # -- permutation representations ----------------------------------
     def stabilizer(self, T):
@@ -580,6 +603,14 @@ class Dihedral(GroupHandle):
             return [(0, 0), (1, 0)]
         return super().stabilizer(T)
 
+    def next_level(self):
+        p = min(q for q in range(2, self.m + 1) if self.m % q == 0)
+        return make_group({"family": "dihedral", "m": self.m * p})
+
+    def reduce(self, g, parent):
+        e, t = g
+        return (e, t % parent.m)
+
 
 def unit_gens(m):
     """Generators of (Z/m)^x: the least unit of largest order (the least
@@ -735,110 +766,132 @@ class Affine2(GroupHandle):
             return [(c, (0, 0)) for c in range(3)]
         return super().stabilizer(T)
 
+    def cover(self):
+        return self.memo(_affine_cover, self)
+
+    def next_level(self):
+        return make_group({"family": "affine2", "ell": self.ell,
+                           "k": self.k + 1, "order": self.aut_order})
+
+    def reduce(self, g, parent):
+        c, v = g
+        return (c, (v[0] % parent.L, v[1] % parent.L))
+
 
 # ---------------------------------------------------------------------
-# small Heisenberg central extension of affine2(ell,k,2)
+# the central extensions of the affine families: the lift covers
 
-class Heis2(GroupHandle):
-    """(sign, M(a,a',w)) with M-multiplication adding a1*a2' to w and the
-    Z/2 part acting by M(a,a',w) -> M(-a,-a',w)."""
+def _affine_cover(h):
+    """The cover of the affine2 group h: heis2 over the order-2 family,
+    k22z3 over the order-3 one, the handle that make_group interns for
+    that spec.  Read through h.memo."""
+    if h.aut_order == 2:
+        if h.ell == 2:
+            raise ValueError("heis2 lifts need ell odd (division by 2)")
+        family = "heis2"
+    else:
+        if h.ell == 3:
+            raise ValueError("k22z3 lifts need ell != 3 (ell' condition)")
+        family = "k22z3"
+    return make_group({"family": family, "ell": h.ell, "k": h.k})
 
-    family = "heis2"
 
-    def __init__(self, ell, k):
-        self.ell = ell
-        self.k = k
-        self.L = ell ** (k + 1)
+class Extension(GroupHandle):
+    """The central extension of an affine2 group `base` by Z/L, L =
+    ell^{k+1}: elements (c, (x, y, u)) over (c, (x, y)), multiplied by the
+    affine2 law on (c, (x, y)) plus a 2-cocycle f on the central
+    coordinate u,
+
+        (c1, v1, u1) (c2, v2, u2) = (c1 + c2, w + v2, u1 + u2 + f),
+        w = A^-c2 v1.
+
+    heis2, over the order-2 family (A = -1): f = w0 y2, the Heisenberg
+    group of M(a, a', w) with the sign acting by (a, a') -> (-a, -a').
+    k22z3, over the order-3 family (A = A*): the standard forms x^m y^n w^u
+    with y x = x y w, extended by the order-3 map alpha: x -> y -> (xy)^-1
+    that lifts A*; f is the shift of u by alpha^-c2, plus w1 x2, plus for
+    ell = 2 the quaternion-type carry s (floor((w0 + x2)/L) + floor((w1 +
+    y2)/L)) that compatibility with alpha forces, 3s = L/2 mod L (k = 0
+    gives SL(2,3)); odd ell needs no carry.
+
+    The extension is the cover the lift invariant is read in, through its
+    shape maps `project`, `section`, `central`, `offset` and
+    `central_part`.  `unit` fixes the generator of the kernel that lift
+    values are read against (values scale by a unit under that choice),
+    chosen so the closed-form invariants come out in lowest terms:
+    a(a3'-a2') for heis2 involution tuples, m^2+n^2-mn for k22z3 order-3
+    triples.  The lift reads only pointwise arithmetic, never the
+    element list, so a cover may pass MAX_ORDER."""
+
+    def __init__(self, base):
+        self.base = base
+        self.ell, self.k, self.L = base.ell, base.k, base.L
         self.identity = (0, (0, 0, 0))
-        self.order = 2 * self.L ** 3
-        super().__init__()
-
-    def _hmul(self, m1, m2):
-        a1, p1, w1 = m1
-        a2, p2, w2 = m2
-        L = self.L
-        return ((a1 + a2) % L, (p1 + p2) % L, (w1 + w2 + a1 * p2) % L)
-
-    def _beta(self, m):
-        a, p, w = m
-        return ((-a) % self.L, (-p) % self.L, w)
-
-    def mul(self, a, b):
-        (s1, m1), (s2, m2) = a, b
-        if s2 == 1:
-            m1 = self._beta(m1)
-        return ((s1 + s2) % 2, self._hmul(m1, m2))
-
-    def _all_elements(self):
-        R = range(self.L)
-        return [(s, (a, p, w)) for s in (0, 1) for a in R for p in R for w in R]
-
-    def to_spec(self):
-        return {"family": "heis2", "ell": self.ell, "k": self.k}
-
-
-# ---------------------------------------------------------------------
-# rank-2 exponent-ell^{k+1} central extension carrying the Z/3 action
-
-class K22Z3(GroupHandle):
-    """Standard forms x^m y^n w^u with y x = x y w, extended by the order-3
-    map alpha: x -> y -> (xy)^{-1}.  For ell = 2 compatibility with alpha
-    forces the quaternion-type carry x^L = y^L = w^{s}, 3s = L/2 mod L
-    (k=0: x^2 = y^2 = w, giving SL(2,3)); odd ell needs no carry."""
-
-    family = "k22z3"
-
-    def __init__(self, ell, k):
-        self.ell = ell
-        self.k = k
-        self.L = L = ell ** (k + 1)
-        if ell == 2:
-            self.carry = (L // 2) * pow(3, -1, L) % L
+        self.order = base.aut_order * self.L ** 3
+        if base.aut_order == 2:
+            self.family, self.unit = "heis2", -2 % self.L
+            self.cocycle = self._heis2
         else:
-            self.carry = 0
-        self.identity = (0, (0, 0, 0))
-        self.order = 3 * L ** 3
+            self.family, self.unit = "k22z3", -1 % self.L
+            self.cocycle = self._k22z3
+            self.carry = ((self.L // 2) * pow(3, -1, self.L) % self.L
+                          if self.ell == 2 else 0)
         super().__init__()
 
-    def _kmul(self, k1, k2):
-        m1, n1, u1 = k1
-        m2, n2, u2 = k2
-        L = self.L
-        u = u1 + u2 + n1 * m2
-        if self.carry:
-            u += self.carry * ((m1 + m2) // L + (n1 + n2) // L)
-        return ((m1 + m2) % L, (n1 + n2) % L, u % L)
-
-    def _alpha_k(self, k1, power):
-        """alpha^power on the normal part, alpha in closed form:
-        alpha(x^m y^n w^u) = y^m (xy)^-n w^u, put in standard form."""
-        L, s = self.L, self.carry
-        m, n, u = k1
-        for _ in range(power % 3):
-            if n:
-                m, n, u = (-n % L, (m - n) % L,
-                           (u + n * (n + 1) // 2 - m * n - 2 * s
-                            + (s if m >= n else 0)) % L)
-            else:
-                m, n = 0, m
-        return (m, n, u)
-
     def mul(self, a, b):
-        (c1, k1), (c2, k2) = a, b
-        k1 = self._alpha_k(k1, (-c2) % 3)
-        return ((c1 + c2) % 3, self._kmul(k1, k2))
+        (c1, (x1, y1, u1)), (c2, (x2, y2, u2)) = a, b
+        L = self.L
+        w = self.base._act(-c2, (x1, y1))
+        return ((c1 + c2) % self.base.aut_order,
+                ((w[0] + x2) % L, (w[1] + y2) % L,
+                 (u1 + u2 + self.cocycle(c2, x1, y1, w, x2, y2)) % L))
 
-    def alpha(self, g, power=1):
-        """The order-3 automorphism extending the x,y images; fixes w."""
-        c, k1 = g
-        return (c, self._alpha_k(k1, power))
+    def _heis2(self, c2, x1, y1, w, x2, y2):
+        return w[0] * y2
+
+    def _k22z3(self, c2, m, n, w, x2, y2):
+        # alpha(x^m y^n w^u) = y^m (xy)^-n w^u, put in standard form: each
+        # step with n != 0 shifts u by this polynomial in the (m, n) it
+        # starts from
+        L, s = self.L, self.carry
+        f = w[1] * x2
+        if s:
+            f += s * ((w[0] + x2) // L + (w[1] + y2) // L)
+        for _ in range(-c2 % 3):
+            if n:
+                f += n * (n + 1) // 2 - m * n - 2 * s + (s if m >= n else 0)
+            m, n = -n % L, (m - n) % L
+        return f
 
     def _all_elements(self):
         R = range(self.L)
-        return [(c, (m, n, u)) for c in range(3) for m in R for n in R for u in R]
+        return [(c, (x, y, u)) for c in range(self.base.aut_order)
+                for x in R for y in R for u in R]
 
     def to_spec(self):
-        return {"family": "k22z3", "ell": self.ell, "k": self.k}
+        return {"family": self.family, "ell": self.ell, "k": self.k}
+
+    # -- the cover's shape maps ---------------------------------------
+    def project(self, ghat):
+        c, k = ghat
+        return (c, (k[0], k[1]))
+
+    def section(self, g):
+        c, v = g
+        return (c, (v[0], v[1], 0))
+
+    def central(self, u):
+        return (0, (0, 0, u % self.L))
+
+    def offset(self, ghat):
+        """The u with ghat = section(project(ghat)) central(u)."""
+        return ghat[1][2]
+
+    def central_part(self, ghat):
+        c, k = ghat
+        if (c, (k[0], k[1])) != self.base.identity:
+            raise ValueError("element is not central over the identity")
+        return k[2]
 
 
 # ---------------------------------------------------------------------
@@ -880,10 +933,10 @@ def _build_group(spec):
         return Dihedral(spec["m"])
     if fam == "affine2":
         return Affine2(spec["ell"], spec["k"], spec["order"])
-    if fam == "heis2":
-        return Heis2(spec["ell"], spec["k"])
-    if fam == "k22z3":
-        return K22Z3(spec["ell"], spec["k"])
+    if fam in ("heis2", "k22z3"):
+        return Extension(make_group({"family": "affine2", "ell": spec["ell"],
+                                     "k": spec["k"],
+                                     "order": 2 if fam == "heis2" else 3}))
     raise ValueError("unsupported family %r" % fam)
 
 
@@ -945,13 +998,14 @@ def _extend_hom(h, gens, images):
 
 
 def automorphisms(h, labels, budget):
-    """(gens, reps): the normalizer action on the labelled class multiset
-    `labels`, the one place it is derived; read through h.memo.  `gens`
-    generate the stabilizer of the multiset in the group of `h.aut_gens()`,
-    each an array('i') permutation of the element indices: by Schreier's
-    lemma, a BFS over the orbit of the multiset keeps one transversal
-    permutation t_x per orbit point x, and each point x and generator s
-    give t_y^-1 s t_x, with y = s(x), less the identity and repeats.
+    """(gens, reps, orbit): the normalizer action on the labelled class
+    multiset `labels`, the one place it is derived; read through h.memo.
+    `gens` generate the stabilizer of the multiset in the group of
+    `h.aut_gens()`, each an array('i') permutation of the element indices:
+    by Schreier's lemma, a BFS over the orbit of the multiset keeps one
+    transversal permutation t_x per orbit point x, and each point x and
+    generator s give t_y^-1 s t_x, with y = s(x), less the identity and
+    repeats.  `orbit` is that orbit, the frozenset of sorted label tuples.
     `reps` are the maps of `h.coset_rep_auts()` that fix the multiset;
     they stay maps, since a caller applies each one to a few tuples only.
     Raises BudgetExceeded once orbit points x generators x |G| passes
@@ -992,76 +1046,22 @@ def automorphisms(h, labels, budget):
                 gens.setdefault(g.tobytes(), g)
     reps = [a for a in h.coset_rep_auts()
             if image(base, lambda x: T.index[a(T.els[x])]) == base]
-    return list(gens.values()), reps
+    return list(gens.values()), reps, frozenset(points)
 
 
 # ---------------------------------------------------------------------
-# central extension covers and the unique same-order lift
-
-class CentralCover:
-    """A central extension ext ->> base with kernel <z> = Z/L.
-
-    `unit` fixes the generator of the kernel that lift values are read
-    against (values scale by a unit under that choice); it is chosen once
-    per extension kind so the closed-form invariants come out in lowest
-    terms: a(a3'-a2') for heis2 involution tuples, m^2+n^2-mn for k22z3
-    order-3 triples."""
-
-    def __init__(self, kind, ext, base, unit=1):
-        self.kind = kind
-        self.ext = ext
-        self.base = base
-        self.L = ext.L
-        self.unit = unit % self.L
-
-    def project(self, ghat):
-        c, k = ghat
-        return (c, (k[0], k[1]))
-
-    def section(self, g):
-        c, v = g
-        return (c, (v[0], v[1], 0))
-
-    def central(self, u):
-        return (0, (0, 0, u % self.L))
-
-    def offset(self, ghat):
-        """The u with ghat = section(project(ghat)) central(u)."""
-        return ghat[1][2]
-
-    def central_part(self, ghat):
-        c, k = ghat
-        if (c, (k[0], k[1])) != self.base.identity:
-            raise ValueError("element is not central over the identity")
-        return k[2]
-
-
-def central_extension(kind, ell, k):
-    if kind == "heis2":
-        if ell == 2:
-            raise ValueError("heis2 lifts need ell odd (division by 2)")
-        ext, order, unit = Heis2(ell, k), 2, -2
-    elif kind == "k22z3":
-        if ell == 3:
-            raise ValueError("k22z3 lifts need ell != 3 (ell' condition)")
-        ext, order, unit = K22Z3(ell, k), 3, -1
-    else:
-        raise ValueError("unknown extension tag %r" % kind)
-    base = make_group({"family": "affine2", "ell": ell, "k": k,
-                       "order": order})
-    return CentralCover(kind, ext, base, unit)
-
+# the unique same-order lift
 
 def central_lift(cover, g):
     """The unique lift of g with the same order (order coprime to ell)."""
     d = cover.base.elem_order(g)
-    if math.gcd(d, cover.ext.ell) != 1:
-        raise ValueError("order %d not coprime to %d" % (d, cover.ext.ell))
+    if math.gcd(d, cover.ell) != 1:
+        raise ValueError("order %d not coprime to %d" % (d, cover.ell))
     ghat = cover.section(g)
-    t = cover.central_part(cover.ext.power(ghat, d))
+    t = cover.central_part(cover.power(ghat, d))
     corr = (-t * pow(d, -1, cover.L)) % cover.L
-    lift = cover.ext.mul(ghat, cover.central(corr))
-    if cover.ext.elem_order(lift) != d or cover.project(lift) != g:
+    lift = cover.mul(ghat, cover.central(corr))
+    if cover.elem_order(lift) != d or cover.project(lift) != g:
         raise ConsistencyError("same-order lift failed for %r" % (g,))
     return lift
 

@@ -4,21 +4,21 @@ and level lifting, and BCL cyclotomic data."""
 
 import math
 
-from .groups import (make_group, central_extension, central_lift,
-                     ConsistencyError, closure, cycles)
+from .groups import automorphisms, central_lift, ConsistencyError, cycles
 from . import nielsen    # one name per memoized class derivation
 from .nielsen import NielsenSpec, canonizer, transport, from_indices
 from .braid import all_orbits, orbit_index
 
 
 def _cover_for(spec):
+    """The group's cover, or "an_spin" for the A_n closed form."""
     h = spec.group
-    if h.family == "affine2":
-        cover = "heis2" if h.aut_order == 2 else "k22z3"
-        return h.memo(central_extension, cover, h.ell, h.k)
     if h.family == "alternating":
         return "an_spin"
-    raise ValueError("no default cover for family %r" % h.family)
+    cov = h.cover()
+    if cov is None:
+        raise ValueError("no default cover for family %r" % h.family)
+    return cov
 
 
 def lift_invariant(spec, t):
@@ -28,9 +28,9 @@ def lift_invariant(spec, t):
     cov = _cover_for(spec)
     if cov == "an_spin":
         return an_spin(spec, t)
-    p = cov.ext.identity
+    p = cov.identity
     for g in t.entries:
-        p = cov.ext.mul(p, cov.base.memo(central_lift, cov, g))
+        p = cov.mul(p, cov.base.memo(central_lift, cov, g))
     return cov.central_part(p) * cov.unit % cov.L
 
 
@@ -67,7 +67,7 @@ def _lift_table(h, cov):
             lam.append(None)
             continue
         if cov != "an_spin":
-            ghat, mul = lam[x], cov.ext.mul
+            ghat, mul = lam[x], cov.mul
             if mul(cov.section(g), cov.central(cov.offset(ghat))) != ghat:
                 raise ConsistencyError("cover offset misreads the lift of "
                                        "%r" % (g,))
@@ -101,7 +101,7 @@ def orbit_lift_invariant(spec, orbit):
         vals = {sum(map(lam.__getitem__, e)) % 2
                 for e in orbit.forms.rows(orbit.nums)}
     else:
-        mul, offset, pairs = cov.ext.mul, cov.offset, {}
+        mul, offset, pairs = cov.mul, cov.offset, {}
         first, second, *middle, final = orbit.forms.cols
 
         def value(k):
@@ -134,31 +134,10 @@ def normalizer_action_on_lift(spec, lattice):
             "inner_values": inner_vals}
 
 
-def level_up(h):
-    """The next group of the parametrized family (k -> k+1)."""
-    if h.family == "affine2":
-        return make_group({"family": "affine2", "ell": h.ell, "k": h.k + 1,
-                           "order": h.aut_order})
-    if h.family == "dihedral":
-        p = min(q for q in range(2, h.m + 1) if h.m % q == 0)
-        return make_group({"family": "dihedral", "m": h.m * p})
-    raise ValueError("no parametrized tower for family %r" % h.family)
-
-
-def reduce_elem(child, parent, g):
-    if child.family == "affine2":
-        c, v = g
-        return (c, (v[0] % parent.L, v[1] % parent.L))
-    if child.family == "dihedral":
-        e, t = g
-        return (e, t % parent.m)
-    raise ValueError("no reduction for family %r" % child.family)
-
-
 def _reduction(child, parent):
-    """reduce_elem as an array: child element index -> parent index."""
+    """child.reduce as an array: child element index -> parent index."""
     T = parent.tables()
-    return [T.index[reduce_elem(child, parent, g)]
+    return [T.index[child.reduce(g, parent)]
             for g in child.tables().els]
 
 
@@ -169,7 +148,7 @@ def _next_level(spec):
     per child orbit and transported over the rest.  Hard gate: each
     child orbit reduces into exactly one base orbit."""
     h = spec.group
-    child = level_up(h)
+    child = h.next_level()
     child_spec = NielsenSpec(child, spec.labels, "inner", spec.T, spec.budget)
     base_of = spec.memo(orbit_index, spec)
     kids = all_orbits(child_spec)
@@ -209,14 +188,15 @@ def tower_lift(spec, orbit):
     base_of = spec.memo(orbit_index, spec)
     i = base_of[orbit.nums[0]]
     out = [o for o, base in zip(kids, below) if base_of[min(base)] == i]
-    if h.family == "affine2":
+    cov = h.cover()
+    if cov is not None:
         base_val = orbit_lift_invariant(spec, orbit)
         for o in out:
             v = orbit_lift_invariant(child_spec, o)
-            if v % h.L != base_val:
+            if v % cov.L != base_val:
                 raise ConsistencyError(
                     "child lift invariant %d does not reduce to %d mod %d"
-                    % (v, base_val, h.L))
+                    % (v, base_val, cov.L))
     return out
 
 
@@ -244,8 +224,11 @@ def _units(n):
 
 
 def bcl_data(spec):
-    """Stability of the class multiset under C -> C^u, inner and modulo
-    the normalizer action."""
+    """Stability of the class multiset C under C -> C^u, inner and modulo
+    the normalizer action: M_inn = {u : C^u = C} and, by the branch-cycle
+    argument of Fried-Volklein [FrV91], M_abs = {u : C^u = C^beta for
+    some beta in the normalizer}, read off the orbit of C in the
+    automorphism record, so the budget of that record bounds it."""
     h = spec.group
     N = math.lcm(*(h.classes()[lab].elem_order for lab in spec.labels))
 
@@ -258,23 +241,18 @@ def bcl_data(spec):
 
     base = tuple(sorted(spec.labels))
     M_inn = [u for u in _units(N) if powered(u) == base]
-
-    # orbit of the label multiset under the automorphism generators
-    T = h.tables()
-    rep = {lab: T.index[cl.rep] for lab, cl in T.classes.items()}
-    reachable = closure(base, [
-        lambda ms, p=p: tuple(sorted(T.label[p[rep[lab]]] for lab in ms))
-        for p in spec.aut_gens()])
-    M_abs = [u for u in _units(N) if powered(u) in reachable]
+    orbit = h.memo(automorphisms, h, spec.labels, spec.budget)[2]
+    M_abs = [u for u in _units(N) if powered(u) in orbit]
 
     return BCLData(N, M_inn, M_abs, len(M_inn) == len(_units(N)))
 
 
 def lift_moduli_degree(h, s):
     """The orbit length of the lift value s of a component of h under the
-    unit multipliers of the cyclic Schur multiplier (Z/ell^{k+1} for
-    affine2 families, Z/2 for alternating spin)."""
-    if h.family == "affine2":
-        L = h.L
-        return len({u * s % L for u in _units(L)})
-    return 1
+    unit multipliers of the cyclic Schur multiplier: Z/L for a group with
+    a cover (Z/ell^{k+1} for the affine2 families), and 1 without one (Z/2
+    for alternating spin, whose only unit is 1)."""
+    cov = h.cover()
+    if cov is None:
+        return 1
+    return len({u * s % cov.L for u in _units(cov.L)})

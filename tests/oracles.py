@@ -5,10 +5,12 @@ shape tests, the centralizer); the stabilizer of a class multiset and
 the absolute forms by brute force; the numbered class as a tuple list
 and a dict, the reference for the packed class; the sh-incidence matrix by set
 intersections; the orbit cache file's data, read off the NielsenTuples;
-and closed-form lift values, cross-checks for hurwitz.lift."""
+the closed-form products of the extension groups heis2 and k22z3; and
+closed-form lift values, cross-checks for hurwitz.lift."""
 
 import hashlib
 import json
+import math
 from array import array
 from itertools import groupby, permutations, product
 
@@ -105,19 +107,38 @@ def absolute_canonical(spec, t):
         lambda t, p=p: apply_aut(spec, p, t) for p in spec.aut_gens()]))
 
 
-def stabilizer_maps(h, labels):
-    """Every map of the group the family's `aut_gens` generate that fixes
-    the labelled class multiset `labels`, by brute force: the closure of
-    those tuple maps under composition, each map a tuple of the images
-    of the elements in index order, filtered by the multiset."""
+def _aut_images(h, labels):
+    """Each map of the group the family's `aut_gens` generate, by brute
+    force: the closure of those tuple maps under composition, each map a
+    tuple of the images of the elements in index order; with the sorted
+    image of the labelled class multiset `labels` under it."""
     T = h.tables()
     classes = h.classes()
-    base = sorted(labels)
     group = closure(tuple(T.els), [lambda m, a=a: tuple(map(a, m))
                                    for a in h.aut_gens()])
-    return sorted(m for m in group
-                  if sorted(h.class_of(m[T.index[classes[lab].rep]]).label
-                            for lab in labels) == base)
+    return [(m, tuple(sorted(h.class_of(m[T.index[classes[lab].rep]]).label
+                             for lab in labels)))
+            for m in group]
+
+
+def stabilizer_maps(h, labels):
+    """Every map of the group the family's `aut_gens` generate that fixes
+    the labelled class multiset `labels`, by brute force."""
+    base = tuple(sorted(labels))
+    return sorted(m for m, image in _aut_images(h, labels) if image == base)
+
+
+def absolute_multipliers(spec):
+    """M_abs of the branch-cycle argument [FrV91] by brute force: the
+    units u mod N_C with C^u = C^beta for some map beta of the group the
+    family's `aut_gens` generate."""
+    h = spec.group
+    classes = h.classes()
+    N = math.lcm(*(classes[lab].elem_order for lab in spec.labels))
+    images = {image for _, image in _aut_images(h, spec.labels)}
+    return [u for u in range(1, N + 1) if math.gcd(u, N) == 1
+            and tuple(sorted(h.class_of(h.power(classes[lab].rep, u)).label
+                             for lab in spec.labels)) in images]
 
 
 def stabilizer_forms(spec):
@@ -303,6 +324,63 @@ def cache_data(spec, orbits):
     return {"spec_hash": spec_sha256(spec),
             "orbits": [[[t.labels, t.entries] for t in sorted(o.members)]
                        for o in orbits]}
+
+
+# ---------------------------------------------------------------------
+# closed-form products of the extension groups, the references for
+# groups.Extension.mul
+
+def heis2_mul(L, a, b):
+    """(sign, M(a, a', w)) with M-multiplication adding a1 a2' to w, and
+    the Z/2 part acting by M(a, a', w) -> M(-a, -a', w)."""
+    (s1, (a1, p1, w1)), (s2, (a2, p2, w2)) = a, b
+    if s2 == 1:
+        a1, p1 = -a1 % L, -p1 % L
+    return ((s1 + s2) % 2, ((a1 + a2) % L, (p1 + p2) % L,
+                            (w1 + w2 + a1 * p2) % L))
+
+
+def k22z3_carry(ell, L):
+    """The quaternion-type carry s of k22z3: x^L = y^L = w^s, 3s = L/2
+    mod L for ell = 2 (k = 0: x^2 = y^2 = w, SL(2,3)); 0 for odd ell."""
+    return (L // 2) * pow(3, -1, L) % L if ell == 2 else 0
+
+
+def _kmul(L, s, k1, k2):
+    """Standard forms x^m y^n w^u with y x = x y w, and the carry s."""
+    m1, n1, u1 = k1
+    m2, n2, u2 = k2
+    u = u1 + u2 + n1 * m2
+    if s:
+        u += s * ((m1 + m2) // L + (n1 + n2) // L)
+    return ((m1 + m2) % L, (n1 + n2) % L, u % L)
+
+
+def _alpha_k(L, s, k1, power):
+    """alpha^power on the normal part, alpha in closed form:
+    alpha(x^m y^n w^u) = y^m (xy)^-n w^u, put in standard form."""
+    m, n, u = k1
+    for _ in range(power % 3):
+        if n:
+            m, n, u = (-n % L, (m - n) % L,
+                       (u + n * (n + 1) // 2 - m * n - 2 * s
+                        + (s if m >= n else 0)) % L)
+        else:
+            m, n = 0, m
+    return (m, n, u)
+
+
+def k22z3_alpha(ell, L, g, power=1):
+    """alpha^power on the element g of k22z3; it fixes the Z/3 part."""
+    c, k1 = g
+    return (c, _alpha_k(L, k22z3_carry(ell, L), k1, power))
+
+
+def k22z3_mul(ell, L, a, b):
+    """K22 extended by the order-3 map alpha: x -> y -> (xy)^-1."""
+    (c1, k1), (c2, k2) = a, b
+    s = k22z3_carry(ell, L)
+    return ((c1 + c2) % 3, _kmul(L, s, _alpha_k(L, s, k1, -c2 % 3), k2))
 
 
 # ---------------------------------------------------------------------

@@ -68,6 +68,20 @@ CASES = {
     "enumerate-serre7-absolute": (_absolute(_serre(7)), "enumerate",
                                   "e536c94cc6cc0eac3c1bebf18555ac2d"
                                   "5b229c64ec75513728cd265273b54458"),
+    # the extension families as specs of their own: SL(2,3) = k22z3 l=2
+    # has no built-in automorphism data (9 absolute forms), and heis2 l=3
+    # has no cover of its own, so its report has no lift section (one
+    # orbit of 72, degree 18, genus 0)
+    "orbits-k22z3-sl23-absolute": (
+        {"group": {"family": "k22z3", "ell": 2, "k": 0},
+         "classes": ["3", "3_2", "3", "3_2"], "equivalence": "absolute"},
+        "orbits", "be034fe9d4cbbc21b12dd69c83cdcdcd"
+                  "28ab4cd312cf0e09f83466bdf4f5e94f"),
+    "report-heis2-l3": (
+        {"group": {"family": "heis2", "ell": 3, "k": 0},
+         "classes": ["2", "2", "3_3", "3_4"], "equivalence": "inner"},
+        "report", "f1fded82f2d3d7c4fcf92a317028051e"
+                  "8415ddbdf1fcf5006f7f638c0ff2b3ef"),
     "tower-a4": (A4, "tower", "a733bbd98a20f8c3644624ff5728fa06"
                               "ad7cf0312154ec7be11d697eaeeb9ed2"),
     # child class Serre l=3 k=1: 1 337 of its 3 281 product-one forms do

@@ -4,11 +4,11 @@ import random
 import pytest
 
 from hurwitz import groups as groups_module
-from hurwitz.groups import (make_group, central_extension, central_lift,
-                            gl_orders, cen_in_Sn, ConsistencyError,
-                            BudgetExceeded, PSL2, closure, unit_gens,
-                            _gl_brute, automorphisms, _automorphism_maps,
-                            _extend_hom)
+from hurwitz.groups import (make_group, central_lift, gl_orders, cen_in_Sn,
+                            ConsistencyError, BudgetExceeded, PSL2, closure,
+                            unit_gens, _gl_brute, automorphisms,
+                            _automorphism_maps, _extend_hom, MAX_ORDER)
+from oracles import heis2_mul, k22z3_alpha, k22z3_mul
 
 SPECS = [
     {"family": "affine2", "ell": 2, "k": 0, "order": 3},
@@ -147,7 +147,8 @@ def test_automorphism_permutations_match(spec, labels):
     # generators are the family's maps as index permutations
     G = make_group(spec)
     T = G.tables()
-    gens, _ = automorphisms(G, labels, 10 ** 8)
+    gens, _, orbit = automorphisms(G, labels, 10 ** 8)
+    assert orbit == {tuple(sorted(labels))}
     maps = G.aut_gens()
     assert gens and len(gens) == len(maps)
     for perm, a in zip(gens, maps):
@@ -178,7 +179,7 @@ def test_fallback_automorphisms_sl23():
     # the outer automorphism swaps the two classes of order-3 elements,
     # so it lies outside the stabilizer of 3^3, of order 12
     for labels, order in ((("3",) * 3, 12), (("3", "3_2", "3", "3_2"), 24)):
-        gens, reps = automorphisms(K, labels, 10 ** 8)
+        gens, reps, _ = automorphisms(K, labels, 10 ** 8)
         assert len(closure(tuple(range(K.order)), [
             lambda x, p=p: tuple(map(p.__getitem__, x)) for p in gens])) \
             == order
@@ -193,27 +194,37 @@ def test_stabilizer_is_bounded_by_the_budget():
     labels = ("2", "2", "rot1", "rot5")
     with pytest.raises(BudgetExceeded, match="exceeds the budget 77"):
         automorphisms(D, labels, 77)
-    gens, reps = automorphisms(D, labels, 78)
+    gens, reps, orbit = automorphisms(D, labels, 78)
     assert len(reps) == 4 and len(gens) == 1
+    assert orbit == {("2", "2", "rot1", "rot5"), ("2", "2", "rot2", "rot3"),
+                     ("2", "2", "rot4", "rot6")}
 
 
 # ---------------------------------------------------------------------
 # central extensions
 
 def test_k22z3_alpha_order_three():
+    # alpha is conjugation by t = (1, (0, 0, 0)), which lies over A*: it
+    # is the closed-form alpha on every element
     for ell in (2, 5, 7):
         K = make_group({"family": "k22z3", "ell": ell, "k": 0})
-        for g in K.elements()[: 200]:
-            assert K.alpha(K.alpha(K.alpha(g))) == g
-            assert K.alpha(g, 2) == K.alpha(K.alpha(g))
+        t = (1, (0, 0, 0))
+
+        def alpha(g):
+            return K.conj(g, t)
+        assert K.elem_order(t) == 3
+        for g in K.elements():
+            assert alpha(g) == k22z3_alpha(ell, K.L, g)
+            assert alpha(alpha(g)) == k22z3_alpha(ell, K.L, g, 2)
+            assert alpha(alpha(alpha(g))) == g
         # alpha: x -> y -> (xy)^-1, w fixed, and a homomorphism
         x, y, w = (0, (1, 0, 0)), (0, (0, 1, 0)), (0, (0, 0, 1))
-        assert K.alpha(x) == y
-        assert K.alpha(y) == K.inv(K.mul(x, y))
-        assert K.alpha(w) == w
+        assert alpha(x) == y
+        assert alpha(y) == K.inv(K.mul(x, y))
+        assert alpha(w) == w
         for a in K.elements():
             for b in (x, y, w):
-                assert K.alpha(K.mul(a, b)) == K.mul(K.alpha(a), K.alpha(b))
+                assert alpha(K.mul(a, b)) == K.mul(alpha(a), alpha(b))
 
 
 def test_k22z3_ell2_is_sl23_shape():
@@ -230,28 +241,68 @@ def test_k22z3_ell2_is_sl23_shape():
     assert K.order == 24 and invs == [w]
 
 
+def _cover(kind, ell, k=0):
+    return make_group({"family": "affine2", "ell": ell, "k": k,
+                       "order": 2 if kind == "heis2" else 3}).cover()
+
+
+# the pair sets of the product test, (kind, ell, k, n): each element
+# against every n-th element for n > 0 (n = 1: every pair), or -n random
+# pairs for n < 0
+PRODUCT_PAIRS = [("heis2", 3, 0, 1), ("heis2", 5, 0, 1), ("k22z3", 2, 0, 1),
+                 ("k22z3", 5, 0, 1), ("k22z3", 2, 1, 1), ("heis2", 7, 0, 7),
+                 ("k22z3", 7, 0, 7), ("heis2", 3, 1, -200000),
+                 ("k22z3", 2, 2, -200000), ("k22z3", 5, 1, -200000)]
+
+
+@pytest.mark.parametrize("kind,ell,k,n", PRODUCT_PAIRS,
+                         ids=["%s-%d-k%d" % c[:3] for c in PRODUCT_PAIRS])
+def test_extension_product_is_the_closed_form(kind, ell, k, n):
+    # the affine2 law plus a cocycle, against the closed-form products
+    ext = _cover(kind, ell, k)
+    assert ext is make_group({"family": kind, "ell": ell, "k": k})
+    L = ell ** (k + 1)
+    assert (ext.family, ext.L, ext.order) == (
+        kind, L, (2 if kind == "heis2" else 3) * L ** 3)
+    if kind == "heis2":
+        def want(a, b):
+            return heis2_mul(L, a, b)
+    else:
+        def want(a, b):
+            return k22z3_mul(ell, L, a, b)
+    if n > 0:
+        els = ext.elements()
+        pairs = ((a, b) for a in els for b in els[::n])
+    else:
+        rng = random.Random(ell * 10 + k)
+        pairs = (tuple((rng.randrange(ext.base.aut_order),
+                        (rng.randrange(L), rng.randrange(L),
+                         rng.randrange(L))) for _ in "ab")
+                 for _ in range(-n))
+    assert [p for p in pairs if ext.mul(*p) != want(*p)] == []
+
+
 @pytest.mark.parametrize("kind,ell", [("heis2", 3), ("heis2", 5),
                                       ("k22z3", 2), ("k22z3", 5)])
 def test_projection_is_homomorphism(kind, ell):
-    cov = central_extension(kind, ell, 0)
-    els = cov.ext.elements()
+    cov = _cover(kind, ell)
+    els = cov.elements()
     rng = random.Random(1)
     for _ in range(80):
         a, b = rng.choice(els), rng.choice(els)
-        assert cov.project(cov.ext.mul(a, b)) == cov.base.mul(
+        assert cov.project(cov.mul(a, b)) == cov.base.mul(
             cov.project(a), cov.project(b))
 
 
 @pytest.mark.parametrize("kind,ell", [("heis2", 3), ("heis2", 5),
                                       ("k22z3", 2), ("k22z3", 5)])
 def test_central_kernel_is_stem(kind, ell):
-    cov = central_extension(kind, ell, 0)
-    ext = cov.ext
-    z = cov.central(1)
+    ext = _cover(kind, ell)
+    z = ext.central(1)
     # central
     for g in ext.elements()[: 100]:
         assert ext.mul(z, g) == ext.mul(g, z)
-    assert ext.elem_order(z) == cov.L
+    assert ext.elem_order(z) == ext.L
     # stem: kernel generator is a commutator (lift invariant well-defined)
     els = ext.elements()
     comms = {ext.mul(ext.mul(a, b), ext.inv(ext.mul(b, a)))
@@ -259,29 +310,44 @@ def test_central_kernel_is_stem(kind, ell):
     assert z in comms
 
 
-@pytest.mark.parametrize("kind,ell", [("heis2", 3), ("heis2", 5),
-                                      ("k22z3", 2), ("k22z3", 5)])
-def test_central_lift_exhaustive(kind, ell):
-    cov = central_extension(kind, ell, 0)
+# k22z3 l=2 k=3 has 3 * 16^3 = 12 288 elements, past MAX_ORDER: the lift
+# reads its arithmetic pointwise, never its element list
+LIFT_COVERS = [("heis2", 3, 0), ("heis2", 5, 0), ("k22z3", 2, 0),
+               ("k22z3", 5, 0), ("k22z3", 2, 3)]
+
+
+@pytest.mark.parametrize("kind,ell,k", LIFT_COVERS,
+                         ids=["heis2-3", "heis2-5", "k22z3-2", "k22z3-5",
+                              "k22z3-2-k3"])
+def test_central_lift_exhaustive(kind, ell, k):
+    cov = _cover(kind, ell, k)
+    assert (cov.order > MAX_ORDER) == (k == 3)
     for g in cov.base.elements():
         d = cov.base.elem_order(g)
         if math.gcd(d, ell) != 1:
             continue
         gh = central_lift(cov, g)
         assert cov.project(gh) == g
-        assert cov.ext.elem_order(gh) == d
+        assert cov.elem_order(gh) == d
         # uniqueness among central translates
         same = [u for u in range(cov.L)
-                if cov.ext.elem_order(
-                    cov.ext.mul(gh, cov.central(u))) == d]
+                if cov.elem_order(cov.mul(gh, cov.central(u))) == d]
         assert same == [0]
+    if k == 3:
+        with pytest.raises(ValueError, match="exceeds limit"):
+            cov.elements()
 
 
 def test_central_extension_rejects_bad_ell():
-    with pytest.raises(ValueError):
-        central_extension("heis2", 2, 0)
-    with pytest.raises(ValueError):
-        central_extension("k22z3", 3, 0)
+    with pytest.raises(ValueError, match="heis2 lifts need ell odd"):
+        _cover("heis2", 2)
+    with pytest.raises(ValueError, match="k22z3 lifts need ell != 3"):
+        _cover("k22z3", 3)
+    # the families themselves stay groups, and groups without a
+    # parametrized cover have none
+    assert make_group({"family": "heis2", "ell": 2, "k": 0}).order == 16
+    assert make_group({"family": "dihedral", "m": 5}).cover() is None
+    assert make_group({"family": "heis2", "ell": 3, "k": 0}).cover() is None
 
 
 @pytest.mark.parametrize("family", ["affine2", "heis2", "k22z3"])

@@ -4,18 +4,19 @@ import weakref
 
 import pytest
 
+from hurwitz import lift as lift_module
 from hurwitz.groups import make_group, ConsistencyError
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
                              pure_cycle_reduce, enumerate_tuples,
                              cover_genus, from_indices)
 from hurwitz.braid import BraidOrbit, all_orbits, component_lattice
 from hurwitz.lift import (lift_invariant, an_spin, orbit_lift_invariant,
-                          normalizer_action_on_lift, tower_lift, level_up,
-                          reduce_elem, bcl_data, _cover_for, _lift_table)
+                          normalizer_action_on_lift, tower_lift, bcl_data,
+                          lift_moduli_degree, _cover_for, _lift_table)
 from oracles import (serre_formula, di_formula, serre_tuple, di_triple,
                      mt_parity, hm_detect, di_detect, braid_moves, orbit,
                      q_untwist, obstructed, component_moduli_degree,
-                     partition)
+                     partition, absolute_multipliers)
 
 A4 = {"family": "affine2", "ell": 2, "k": 0, "order": 3}
 A5 = {"family": "alternating", "n": 5}
@@ -324,8 +325,10 @@ def test_pure_cycle_reduce_preserves_spin():
 # covers and errors
 
 def test_cover_selection_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no default cover"):
         _cover_for(spec_of({"family": "dihedral", "m": 5}, ("2",) * 4))
+    # no cover, no unit multipliers to move a lift value
+    assert lift_moduli_degree(make_group(A5), 1) == 1
 
 
 def test_lift_requires_ell_prime_order():
@@ -350,7 +353,7 @@ def test_a4_tower_both_orbits_lift(a4_spec, a4_orbits):
     for val, o in by_val.items():
         children = tower_lift(a4_spec, o)
         assert len(children) == 2
-        cspec = NielsenSpec(level_up(a4_spec.group), a4_spec.labels,
+        cspec = NielsenSpec(a4_spec.group.next_level(), a4_spec.labels,
                             "inner", a4_spec.T)
         child_vals[val] = sorted(orbit_lift_invariant(cspec, c)
                                  for c in children)
@@ -366,11 +369,11 @@ def test_tower_lift_matches_per_orbit_selection(spec):
     # level-(k+1) forms that reduce into o, computed from scratch by a
     # BFS on NielsenTuples
     h = spec.group
-    child = NielsenSpec(level_up(h), spec.labels, "inner", spec.T)
+    child = NielsenSpec(h.next_level(), spec.labels, "inner", spec.T)
     child_forms = enumerate_tuples(child)
 
     def reduce(t):
-        entries = tuple(reduce_elem(child.group, h, g) for g in t.entries)
+        entries = tuple(child.group.reduce(g, h) for g in t.entries)
         labels = tuple(h.class_of(g).label for g in entries)
         return inner_canonical(spec, NielsenTuple(labels, entries))
 
@@ -385,6 +388,26 @@ def test_tower_lift_matches_per_orbit_selection(spec):
         # the same orbit numbered on its own by the BFS is refused
         with pytest.raises(ValueError, match="numbered by the class"):
             tower_lift(spec, orbit(spec, o.seed))
+
+
+def test_tower_lift_gate_runs_where_there_is_a_cover(monkeypatch):
+    # the mod-ell gate reads the lift of the base orbit and of each child:
+    # a child value that does not reduce to the base's is an
+    # inconsistency; a group with no cover (dihedral) has no gate
+    calls = []
+
+    def doctored(spec, o):
+        calls.append(spec.group.to_spec())
+        return orbit_lift_invariant(spec, o) + spec.group.k
+    monkeypatch.setattr(lift_module, "orbit_lift_invariant", doctored)
+    spec = di_spec(2)
+    with pytest.raises(ConsistencyError, match="does not reduce to"):
+        tower_lift(spec, all_orbits(spec)[0])
+    assert calls and calls[-1]["k"] == 1
+    calls.clear()
+    spec = spec_of({"family": "dihedral", "m": 3}, ("2",) * 4)
+    assert tower_lift(spec, all_orbits(spec)[0])
+    assert calls == []
 
 
 def test_spec_memo_is_freed_with_the_spec():
@@ -402,11 +425,11 @@ def test_spec_memo_is_freed_with_the_spec():
 
 def test_reduce_elem_is_reduction_hom(a4_spec):
     h = a4_spec.group
-    child = level_up(h)
+    child = h.next_level()
     for a in child.elements()[::7]:
         for b in child.elements()[::11]:
-            assert reduce_elem(child, h, child.mul(a, b)) == \
-                h.mul(reduce_elem(child, h, a), reduce_elem(child, h, b))
+            assert child.reduce(child.mul(a, b), h) == \
+                h.mul(child.reduce(a, h), child.reduce(b, h))
 
 
 def test_dihedral_tower():
@@ -414,12 +437,16 @@ def test_dihedral_tower():
     o = all_orbits(spec)[0]
     children = tower_lift(spec, o)
     assert children
-    assert level_up(spec.group).m == 9
+    assert spec.group.next_level().m == 9
 
 
 def test_level_up_unsupported():
-    with pytest.raises(ValueError):
-        level_up(make_group(A5))
+    for h in (make_group(A5), make_group({"family": "heis2", "ell": 3,
+                                          "k": 0})):
+        with pytest.raises(ValueError, match="no parametrized tower"):
+            h.next_level()
+        with pytest.raises(ValueError, match="no parametrized tower"):
+            h.reduce(h.identity, h)
 
 
 # ---------------------------------------------------------------------
@@ -442,9 +469,26 @@ def test_bcl_non_rational():
     b = bcl_data(spec_of(A5, ("5+", "5+", "5+")))
     assert not b.rational_union
     assert b.inner_field_degree == 2
-    # the S5 swap moves the multiset (5+)^3, so it is not in N(G,C):
-    # the absolute field does not shrink
-    assert b.abs_field_degree == 2
+    # the S5 swap carries (5+)^3 to (5-)^3 = (5+)^(3 * 2), so modulo the
+    # normalizer every unit fixes C: the absolute field is Q
+    assert b.abs_field_degree == 1
+
+
+@pytest.mark.parametrize("gspec, labels, M_abs", [
+    (A5, ("5+", "5+", "5+"), [1, 2, 3, 4]),
+    (A4, ("C+",) * 3, [1, 2]),
+    ({"family": "k22z3", "ell": 2, "k": 0}, ("3",) * 3, [1, 2]),
+    ({"family": "dihedral", "m": 13}, ("rot1", "rot1", "rot5", "rot5"),
+     list(range(1, 13))),
+    (A4, ("C+", "C+", "C-", "C-"), [1, 2]),
+], ids=["a5-5+3", "a4-c+3", "sl23-333", "d13", "a4"])
+def test_bcl_absolute_multipliers(gspec, labels, M_abs):
+    # M_abs is the set of units u with C^u in the orbit of C under the
+    # normalizer: where a generator moves C, it holds more than M_inn
+    spec = spec_of(gspec, labels)
+    b = bcl_data(spec)
+    assert b.M_abs == absolute_multipliers(spec) == M_abs
+    assert set(b.M_inn) <= set(b.M_abs)
 
 
 def test_moduli_degrees(a4_spec, a4_orbits):

@@ -16,7 +16,7 @@ from hurwitz.nielsen import (NielsenSpec, nielsen_class, absolute_class_map,
                              enumerate_tuples, index_moves, canonizer,
                              transport)
 from hurwitz.braid import all_orbits, component_lattice
-from hurwitz.lift import _next_level, _reduction, level_up, tower_lift
+from hurwitz.lift import _next_level, _reduction, tower_lift
 from oracles import (form_table, head_blocks, tuple_class, partition,
                      centralizer, stabilizer_maps, stabilizer_forms)
 
@@ -67,7 +67,7 @@ def spec_of(name, eq="inner"):
     gspec, labels = SPECS[name.removesuffix("-child")]
     h = make_group(gspec)
     if name.endswith("-child"):
-        h = level_up(h)
+        h = h.next_level()
     return NielsenSpec(h, labels, eq)
 
 

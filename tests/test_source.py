@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 from hurwitz import braid, groups, lift, nielsen
@@ -46,3 +47,22 @@ def test_one_normalizer_action_in_the_program():
             for meth in ("aut_gens", "coset_rep_auts")
             if list(inspect.signature(getattr(c, meth)).parameters)
             != ["self"]] == []
+
+
+def test_one_cover_construction_in_the_program():
+    # the lift covers are groups.Extension, built by Affine2.cover(), and
+    # the tower steps are family methods: the names they replaced are gone
+    gone = re.compile(r"\b(Heis2|K22Z3|CentralCover|central_extension|"
+                      r"level_up|reduce_elem)\b")
+    assert ["%s:%d" % (path.name, i)
+            for path in sorted(SRC.glob("*.py"))
+            for i, line in enumerate(path.read_text().splitlines(), 1)
+            if gone.search(line)] == []
+    # lift reads covers and tower steps from the group: only _cover_for
+    # reads a family name, for the A_n closed form
+    tree = ast.parse((SRC / "lift.py").read_text())
+    readers = {fn.name for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn)
+               if isinstance(node, ast.Attribute) and node.attr == "family"}
+    assert readers == {"_cover_for"}

@@ -164,7 +164,7 @@ def _genus_section(spec, comps):
     out = {"components": [{"orbit_size": c.orbit.size,
                            "degree": c.rc.degree,
                            "reduced_genus": c.genus} for c in comps]}
-    if spec.T is not None:
+    if spec.T is not None and comps:    # Riemann-Hurwitz needs a tuple
         out["cover_genus"] = cover_genus(spec)
     return out
 

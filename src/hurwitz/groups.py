@@ -10,20 +10,22 @@ forms downstream depend on it being stable.
 A group's generic data is derived once, on element indices, by
 `h.tables()`.  It numbers the elements by their position in the sorted
 `h.elements()`, so index order is tuple order.  It picks the greedy
-generators from its own right-multiplication columns, and grows each
-conjugacy class from its least member by one BFS, which also records a
-transporter onto that member.  It holds the product and conjugation
-rows, inverses, class labels and transporters as plain lists; rows are
-built on first use, each composed from a generator's row, so memory
-tracks the rows a computation touches.  `gens`, `classes`, `class_of`,
-`generates` and `center` read it, and the hot loops (enumeration,
-canonical forms, the generation test once per braid orbit, braid and
-automorphism moves) run on its indices.
+generators from its own right-multiplication columns, and their product
+rows are its only group arithmetic: every other product row, every
+conjugation row and the inverses are composed from those.  It grows
+each conjugacy class from its least member by one BFS, which also
+records a transporter onto that member.  It holds rows, inverses, class
+labels and transporters as plain lists; rows are built on first use, so
+memory tracks the rows a computation touches.  `gens`, `classes`,
+`class_of`, `generates` and `center` read it, and the hot loops
+(enumeration, canonical forms, the generation test once per braid orbit,
+braid and automorphism moves) run on its indices.
 
 Every orbit computation runs on the primitives defined here: `closure`
 (BFS set), `orbit_arrays` (the orbits of move arrays, each a sorted array
 of numbers, in order of their least member), `orbit_ids` (the orbit of
-each number) and `cycles` (the cycles of a permutation).
+each number) and `cycles` (the cycles of a permutation).  Every coset
+action reads one numbering of the cosets, `coset_numbers`.
 
 A family says what the lift and the tower read of it: `cover()` is the
 central extension the lift invariant is read in (None by default), and
@@ -176,7 +178,6 @@ class GroupHandle(Memo):
 
     def __init__(self):
         super().__init__()
-        self._inv = {}
         self._order_cache = {}
 
     def _check_enumerable(self):
@@ -218,15 +219,7 @@ class GroupHandle(Memo):
         return o
 
     def inv(self, a):
-        b = self._inv.get(a)
-        if b is None:
-            prev, x = self.identity, a
-            while x != self.identity:
-                prev, x = x, self.mul(x, a)
-            b = prev      # a^(ord-1)
-            self._inv[a] = b
-            self._inv[b] = a
-        return b
+        return self.memo(self.power, a, -1)
 
     def conj(self, g, h):
         """h g h^{-1}."""
@@ -317,10 +310,17 @@ class GroupHandle(Memo):
         return len(cycles(perm, range(len(cosets)))), len(cosets)
 
 
-def _cosets(h, T):
-    """The cosets xH of H = h.stabilizer(T) on element indices, as the
-    orbits of right multiplication by H's greedy generators; and the coset
-    number of each element.  Read through h.memo, once per (group, T)."""
+def coset_numbers(h, gens):
+    """(cosets, coset_of): the cosets xH of H = <gens> (element indices),
+    the orbits of right multiplication by gens, and each element's coset
+    number.  Every coset action reads this one numbering."""
+    cosets = orbit_arrays(range(h.order), [h.tables().right(g) for g in gens],
+                          "coset escaped the group")
+    return cosets, orbit_ids(cosets, h.order)
+
+
+def _stabilizer_gens(h, T):
+    """The greedy generators of h.stabilizer(T); read through h.memo."""
     E = h.tables()
     H = set(E.indices(h.stabilizer(T)))
     gens, span = [], {E.e}
@@ -330,9 +330,12 @@ def _cosets(h, T):
             span = closure(E.e, [E.mul[g].__getitem__ for g in gens])
     if span != H:
         raise ConsistencyError("stabilizer(%r) is not a subgroup" % (T,))
-    cosets = orbit_arrays(range(h.order), [E.right(g) for g in gens],
-                          "coset escaped the group")
-    return cosets, orbit_ids(cosets, h.order)
+    return gens
+
+
+def _cosets(h, T):
+    """coset_numbers of h.stabilizer(T); read through h.memo."""
+    return coset_numbers(h, h.memo(_stabilizer_gens, h, T))
 
 
 # ---------------------------------------------------------------------
@@ -401,18 +404,19 @@ class ElementTables:
                 self.gens.append(g)
                 right.append([index[h.mul(x, els[g])] for x in els])
                 parent, tree = cayley(right)
-        gens = [els[g] for g in self.gens]
-        # (x g)^-1 = g^-1 x^-1
-        left_ginv = [[index[h.mul(h.inv(g), b)] for b in els] for g in gens]
+        # the generators' product rows are the only group arithmetic
+        # below: (x g)^-1 = g^-1 x^-1 reads the row of g^-1, the x with
+        # x g = e, and g b g^-1 = (g (g b)^-1)^-1
+        rows = [[index[h.mul(els[g], b)] for b in els] for g in self.gens]
+        self.mul = _Rows(e, parent, rows)
+        left_ginv = [self.mul[col.index(e)] for col in right]
         self.inv = inv = [None] * n
         inv[e] = e
         for y in tree[1:]:
             x, k = parent[y]
             inv[y] = left_ginv[k][inv[x]]
-        self.mul = _Rows(e, parent,
-                         [[index[h.mul(g, b)] for b in els] for g in gens])
-        self.conj = _Rows(e, parent,
-                          [[index[h.conj(b, g)] for b in els] for g in gens])
+        self.conj = _Rows(e, parent, [[inv[r[inv[r[b]]]] for b in range(n)]
+                                      for r in rows])
         # each class grown from its least member by one BFS: with
         # x = g y g^-1, y's transporter is x's times g
         moves = [(self.conj[inv[g]], col) for g, col in zip(self.gens, right)]
@@ -941,14 +945,17 @@ def _build_group(spec):
 
 
 def cen_in_Sn(h, T):
-    """Cen_{S_n}(G) for the coset representation T, computed as
-    N_G(G(1))/G(1).  Returns the quotient order (1 means trivial)."""
-    H = frozenset(h.stabilizer(T))
-    norm = [g for g in h.elements()
-            if frozenset(h.conj(x, g) for x in H) == H]
-    q, r = divmod(len(norm), len(H))
-    if r:
-        raise ConsistencyError("|N_G(H)| not divisible by |H|")
+    """|Cen_{S_n}(G)| for the coset representation T, that is [N_G(H):H]
+    with H = stabilizer(T): the cosets xH fixed by left multiplication by
+    H's generators, since H fixes xH exactly when x is in N_G(H)."""
+    E = h.tables()
+    cosets, coset_of = h.memo(_cosets, h, T)
+    rows = [E.mul[g] for g in h.memo(_stabilizer_gens, h, T)]
+    q = sum(all(coset_of[r[c[0]]] == i for r in rows)
+            for i, c in enumerate(cosets))
+    if not q or len(cosets) % q:
+        raise ConsistencyError("[N_G(H):H] = %d does not divide [G:H] = %d"
+                               % (q, len(cosets)))
     return q
 
 

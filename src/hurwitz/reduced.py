@@ -16,7 +16,7 @@ from array import array
 from functools import cache, cached_property
 
 from .groups import (PSL2, ConsistencyError, gl_orders, cen_in_Sn, closure,
-                     orbit_arrays, orbit_ids, cycles)
+                     coset_numbers, orbit_arrays, cycles)
 from .nielsen import canonizer, index_moves
 
 PSL2_LIMIT = 2000       # largest |PSL2(Z/N)| the Sylow test builds
@@ -318,26 +318,23 @@ def _psl2_sylow_cusp_type(N, sub):
     # of |PSL2|
     cands = [x for x in range(h.order)
              if sub % T.classes[T.label[x]].elem_order == 0]
-    # grow a Sylow p-subgroup: a proper p-subgroup always has a p-element
-    # in its normalizer outside itself
-    H, gens = {T.e}, []
-    while len(H) < sub:
-        x = next((x for x in cands if x not in H
-                  and all(T.index[h.conj(T.els[g], T.els[x])] in H
+    # grow a Sylow p-subgroup: a proper p-subgroup H has a p-element x
+    # outside it that normalizes it, that is, whose coset xH H fixes
+    gens = []
+    cosets, coset_of = coset_numbers(h, gens)
+    while len(cosets) * sub > h.order:
+        x = next((x for x in cands if coset_of[x] != coset_of[T.e]
+                  and all(coset_of[T.mul[g][x]] == coset_of[x]
                           for g in gens)), None)
         if x is None:
             raise ConsistencyError("no p-element normalizes a proper "
                                    "p-subgroup of PSL2(Z/%d)" % N)
         gens.append(x)
-        H = closure(T.e, [T.mul[g].__getitem__ for g in gens])
-    if sub % len(H):
+        cosets, coset_of = coset_numbers(h, gens)
+    if sub * len(cosets) % h.order:
         raise ConsistencyError("PSL2(Z/%d) p-subgroup of order %d is not "
                                "in a Sylow subgroup of order %d"
-                               % (N, len(H), sub))
-    # the cosets xH, the orbits of right multiplication by H's generators
-    cosets = orbit_arrays(range(h.order), [T.right(g) for g in gens],
-                          "coset escaped PSL2")
-    coset_of = orbit_ids(cosets, h.order)
+                               % (N, h.order // len(cosets), sub))
     t = T.mul[T.index[(1, 1, 0, 1)]]
     perm = [coset_of[t[c[0]]] for c in cosets]
     return sorted(map(len, cycles(perm, range(len(cosets)))))

@@ -5,8 +5,9 @@ shape tests, the centralizer); the stabilizer of a class multiset and
 the absolute forms by brute force; the numbered class as a tuple list
 and a dict, the reference for the packed class; the sh-incidence matrix by set
 intersections; the orbit cache file's data, read off the NielsenTuples;
-the closed-form products of the extension groups heis2 and k22z3; and
-closed-form lift values, cross-checks for hurwitz.lift."""
+the closed-form products of the extension groups heis2 and k22z3;
+closed-form lift values, cross-checks for hurwitz.lift; and the order of
+Cen_{S_n}(G) by tuple conjugation."""
 
 import hashlib
 import json
@@ -444,3 +445,19 @@ def mt_parity(spec, t):
             raise ValueError("even order %d entry" % o)
         total += (o * o - 1) // 8
     return total % 2
+
+
+# ---------------------------------------------------------------------
+# the centralizer of a coset representation, by tuple conjugation
+
+def cen_in_sn(h, T):
+    """|Cen_{S_n}(G)| for the coset representation T, as |N_G(H)| / |H|
+    with H = h.stabilizer(T): every element tested by conjugating all of
+    H with tuple arithmetic.  The reference for groups.cen_in_Sn."""
+    H = frozenset(h.stabilizer(T))
+    norm = [g for g in h.elements()
+            if frozenset(h.conj(x, g) for x in H) == H]
+    q, r = divmod(len(norm), len(H))
+    if r:
+        raise ConsistencyError("|N_G(H)| not divisible by |H|")
+    return q

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hurwitz import nielsen
+from hurwitz import braid as braid_module, nielsen
 from hurwitz.groups import (make_group, ConsistencyError, BudgetExceeded,
                             automorphisms)
 from hurwitz.nielsen import (NielsenSpec, NielsenTuple, inner_canonical,
@@ -245,3 +245,42 @@ def test_braidable_seed_suffices(a4_spec):
 
 _S50_CACHE = {"spec": spec_of(S50, ("2",) * 4)}
 _S50_CACHE["forms"] = enumerate_tuples(_S50_CACHE["spec"])
+
+
+def _doctor_cmap_off_the_lattice(spec, cmap, monkeypatch):
+    # one form of the first inner orbit sent to no absolute root
+    cmap[all_orbits(spec.as_inner())[0].nums[0]] = -1
+
+
+def _doctor_cmap_past_a_root(spec, cmap, monkeypatch):
+    # the forms over the least root of the first absolute orbit sent to
+    # another root of that orbit: each inner orbit still lies over one
+    # absolute orbit, but that root is no longer hit
+    r, other = all_orbits(spec.as_absolute())[0].nums[:2]
+    for k, v in enumerate(cmap):
+        if v == r:
+            cmap[k] = other
+
+
+def _doctor_braidable(spec, cmap, monkeypatch):
+    # no coset representative braidable: v * 0 against 6 reps
+    monkeypatch.setattr(braid_module, "braidable", lambda *args: False)
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_doctor_cmap_off_the_lattice, "inner orbit maps to 1 absolute orbits"),
+    (_doctor_cmap_past_a_root, "absolute orbits disagree with the "
+                               "inner-orbit merge"),
+    (_doctor_braidable, "component count v=1 inconsistent with braidable "
+                        "index 6/0")])
+def test_lattice_gates_raise_on_doctored_input(monkeypatch, doctor,
+                                               message):
+    # a spec of its own, whose lattice is first built from the true
+    # absolute class map; the orbits and orbit ids it memoized stay, and
+    # the class map it reads again is doctored in place
+    spec = spec_of(A4, ("C+", "C+", "C-", "C-"), "absolute")
+    assert component_lattice(spec).counts == [1, 1]
+    cmap = spec.memo(nielsen.absolute_class_map, spec)
+    doctor(spec, cmap, monkeypatch)
+    with pytest.raises(ConsistencyError, match=message):
+        component_lattice(spec)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from hurwitz import cli, nielsen
+from hurwitz import cli, nielsen, reduced
 from hurwitz.groups import ConsistencyError, GroupHandle, make_group
 from hurwitz.nielsen import NielsenSpec
 from hurwitz.braid import all_orbits
@@ -636,3 +636,80 @@ def test_index_form_shapes_are_the_tuple_shapes(spec_json):
         assert cli._shapes(o) == {
             "hm": any(hm_detect(spec, t) for t in o.members),
             "di": any(di_detect(spec, t) for t in o.members)}
+
+
+def _run_spec(tmp_path, spec_json, cmd):
+    """Runs cmd on spec_json; (exit code, the JSON report or None)."""
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps(spec_json))
+    out = tmp_path / cmd
+    code = cli.run(["--spec", str(spec_file), "--cmd", cmd,
+                    "--out", str(out)])
+    path = out / ("%s.json" % cmd)
+    return code, json.loads(path.read_text()) if path.exists() else None
+
+
+@pytest.mark.parametrize("gspec, labels, T", [
+    ({"family": "alternating", "n": 6}, ["3"] * 4, "natural"),
+    ({"family": "alternating", "n": 5}, ["3"] * 3, "natural"),
+    ({"family": "symmetric", "n": 4}, ["2", "2", "2", "3"], "natural"),
+    ({"family": "alternating", "n": 3}, ["3+"] * 4, "regular")],
+    ids=["a6-3333", "a5-333", "s4-2223", "a3-regular"])
+def test_empty_class_has_no_cover_genus(tmp_path, capsys, gspec, labels, T):
+    # Riemann-Hurwitz needs a generating tuple: on a class with none,
+    # genus and report leave cover_genus out, where they exited 4 on a
+    # negative genus or an odd index sum, or printed a genus of nothing
+    spec_json = {"group": gspec, "classes": labels, "equivalence": "inner",
+                 "T": T}
+    code, rep = _run_spec(tmp_path, spec_json, "genus")
+    assert code == cli.EXIT_OK and rep == {"components": []}
+    code, rep = _run_spec(tmp_path, spec_json, "report")
+    assert code == cli.EXIT_OK
+    assert rep["enumerate"]["count"] == 0 and rep["orbits"]["orbits"] == []
+    assert rep.get("genus", {"components": []}) == {"components": []}
+    assert capsys.readouterr().err == ""
+    # cover_genus itself stays a hard gate
+    spec = NielsenSpec.from_json(spec_json)
+    if gspec["n"] > 3:
+        with pytest.raises(ConsistencyError,
+                           match="negative genus|odd index sum"):
+            nielsen.cover_genus(spec)
+
+
+def test_inconsistency_while_running_is_internal(tmp_path, a4_file,
+                                                 monkeypatch, capsys):
+    # a wrong middle-product prediction fails the cusp gate mid-command:
+    # exit 4, and no report file
+    monkeypatch.setattr(reduced, "_middle_product_uv",
+                        lambda h, g2, g3: (1, 0))
+    code, out = run_to_file(tmp_path, a4_file, "--cmd", "cusps")
+    assert code == cli.EXIT_INTERNAL
+    assert "internal inconsistency: cusp prediction v=0" in \
+        capsys.readouterr().err
+    assert not (out / "cusps.json").exists()
+
+
+@pytest.mark.parametrize("cmd", ["genus", "report"])
+def test_absolute_reduction_is_a_config_error(tmp_path, capsys, cmd):
+    code, rep = _run_spec(tmp_path, dict(A4_SPEC, equivalence="absolute"),
+                          cmd)
+    assert code == cli.EXIT_CONFIG and rep is None
+    assert "config error: reduction acts on inner classes" in \
+        capsys.readouterr().err
+
+
+def test_lift_through_an_entry_of_order_ell(tmp_path, capsys):
+    # c0|0,1 is a translation, of order 5 = ell: it has no same-order lift
+    spec_json = {"group": {"family": "affine2", "ell": 5, "k": 0,
+                           "order": 3},
+                 "classes": ["C+", "C+", "C+", "c0|0,1"],
+                 "equivalence": "inner"}
+    code, rep = _run_spec(tmp_path, spec_json, "lift")
+    assert code == cli.EXIT_CONFIG and rep is None
+    assert "config error: order 5 not coprime to 5" in \
+        capsys.readouterr().err
+    code, rep = _run_spec(tmp_path, spec_json, "report")
+    assert code == cli.EXIT_OK
+    assert "lift" not in rep
+    assert [o["size"] for o in rep["orbits"]["orbits"]] == [100]
+    assert all("lift" not in c for c in rep["components"])

@@ -8,7 +8,7 @@ from hurwitz.groups import (make_group, central_lift, gl_orders, cen_in_Sn,
                             ConsistencyError, BudgetExceeded, PSL2, closure,
                             unit_gens, _gl_brute, automorphisms,
                             _automorphism_maps, _extend_hom, MAX_ORDER)
-from oracles import heis2_mul, k22z3_alpha, k22z3_mul
+from oracles import cen_in_sn, heis2_mul, k22z3_alpha, k22z3_mul
 
 SPECS = [
     {"family": "affine2", "ell": 2, "k": 0, "order": 3},
@@ -409,6 +409,32 @@ def test_cen_in_sn_dihedral():
     assert cen_in_Sn(D, "regular") == D.order
 
 
+@pytest.mark.parametrize("spec", [
+    {"family": "alternating", "n": 7},
+    {"family": "affine2", "ell": 2, "k": 3, "order": 3},
+    {"family": "affine2", "ell": 7, "k": 0, "order": 3},
+    {"family": "affine2", "ell": 7, "k": 0, "order": 2},
+    {"family": "dihedral", "m": 49}],
+    ids=["a7", "a4-level3", "di7", "serre7", "dihedral49"])
+def test_tables_cost_the_generator_rows_alone(spec, monkeypatch):
+    # a tables() build multiplies in the family k |G| times for the right
+    # columns of its k generators, k |G| times for their product rows,
+    # and ord(rep) - 1 times for each class's elem_order: the other
+    # product rows, the conjugation rows and the inverses are composed
+    # from those rows
+    G = groups_module._build_group(spec)       # not interned: no tables
+    mul, calls = type(G).mul, [0]
+
+    def counted(self, a, b):
+        calls[0] += 1
+        return mul(self, a, b)
+    monkeypatch.setattr(type(G), "mul", counted)
+    T = G.tables()
+    monkeypatch.undo()
+    assert calls[0] == 2 * len(T.gens) * G.order + sum(
+        cl.elem_order - 1 for cl in T.classes.values())
+
+
 def test_element_count_off_the_order_is_an_inconsistency(monkeypatch):
     # the count is checked with a raise, not an assert, so it holds under
     # python -O as well
@@ -470,3 +496,22 @@ def test_stabilizer_that_is_no_subgroup_is_an_inconsistency(monkeypatch):
     monkeypatch.setattr(D, "stabilizer", lambda T: [(0, 0), (0, 1)])
     with pytest.raises(ConsistencyError, match="not a subgroup"):
         D.coset_action_orbit_count((1, 0), "involution-cosets")
+
+
+@pytest.mark.parametrize("gspec,T", COSET_CASES)
+def test_cen_in_sn_matches_the_tuple_normalizer(gspec, T):
+    G = make_group(gspec)
+    assert cen_in_Sn(G, T) == cen_in_sn(G, T)
+
+
+def test_cen_in_sn_gate_raises_on_doctored_generators(monkeypatch):
+    # A5 on the cosets of its point stabilizer H is the natural action; a
+    # 3-cycle read as H's generators fixes 2 of the 5 cosets
+    A5 = groups_module.Alternating(5)
+    assert cen_in_Sn(A5, "natural") == 1
+    c = A5.tables().index[(1, 2, 0, 3, 4)]
+    monkeypatch.setattr(groups_module, "_stabilizer_gens",
+                        lambda h, T: [c])
+    with pytest.raises(ConsistencyError, match=r"\[N_G\(H\):H\] = 2 does "
+                                               r"not divide \[G:H\] = 5"):
+        cen_in_Sn(A5, "natural")

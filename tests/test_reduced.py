@@ -1,6 +1,7 @@
 import hashlib
 import json
 from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -317,3 +318,123 @@ def test_psl2_sylow_test_runs_once_per_level_and_order(monkeypatch):
     assert reduced._psl2_sylow_cusp_type(12, 64) == [3, 6]
     assert reduced._psl2_sylow_cusp_type(12, 64) == [3, 6]
     assert built == [12]
+
+
+# ---------------------------------------------------------------------
+# the hard gates, each fired by a doctored input
+
+def _gamma_stub(rep_of, q1, q2, reps):
+    return SimpleNamespace(
+        orbit=SimpleNamespace(moves=[array("i", q1), array("i", q2)]),
+        rep_of=array("i", rep_of), reps=array("i", reps),
+        gamma_arrays=[array("i", [-1]) * len(rep_of) for _ in range(3)])
+
+
+@pytest.mark.parametrize("arrays, message", [
+    # gamma_0 = q2 q1 swaps the two reps: gamma_0^3 != 1
+    (([0, 1], [0, 1], [1, 0], [0, 1]), "gamma_0/gamma_1 orders wrong"),
+    # over rep_of (0, 1, 0, 1): gamma_0 and gamma_infty fix both reps,
+    # gamma_1 swaps them
+    (([0, 1, 0, 1], [0, 1, 3, 2], [2, 3, 0, 1], [0, 1]),
+     "gamma_0 gamma_1 gamma_infty != 1")])
+def test_gamma_relation_gates_raise_on_doctored_moves(arrays, message):
+    with pytest.raises(ConsistencyError, match=message):
+        gamma_actions(_gamma_stub(*arrays))
+
+
+def _doctor_prediction(rc, monkeypatch):
+    monkeypatch.setattr(reduced, "_middle_product_uv",
+                        lambda h, g2, g3: (1, 0))
+
+
+def _doctor_q2(rc, monkeypatch):
+    # one q2 cycle through the orbit: the first cusp's inner q2 orbit
+    # (12) outgrows its raw one (4)
+    nums, q2 = rc.orbit.nums, rc.orbit.moves[1]
+    for a, b in zip(nums, nums[1:] + nums[:1]):
+        q2[a] = b
+
+
+def _doctor_qq(rc, monkeypatch):
+    # the Q'' images (t, s, t, x) of the first cusp's rep t, with s in
+    # its inner q2 orbit and x outside: stabilizers of orders 2 and 3
+    t = rc.reps[0]
+    orbset = closure(t, [rc.orbit.moves[1].__getitem__])
+    s = min(orbset - {t})
+    x = next(k for k in rc.orbit.nums if k not in orbset)
+    rc.sh2[t], rc.q1q3i[t], rc.q1q3i[s] = s, t, x
+
+
+def _doctor_width(rc, monkeypatch):
+    # gamma_infty fixing every rep: widths of 1 against q2 orbits of 4
+    gi = rc.gammas[2]
+    for t in rc.reps:
+        gi[t] = t
+
+
+@pytest.mark.parametrize("doctor, message", [
+    (_doctor_prediction, "cusp prediction v=0 but raw q2 orbit has "
+                         "length 4"),
+    (_doctor_q2, "inner q2 orbit does not divide raw"),
+    (_doctor_qq, "Q'' stabilizers not nested"),
+    (_doctor_width, "shortening f=1 inconsistent: width 1 \\* f != v 4")])
+def test_cusp_gates_raise_on_doctored_input(monkeypatch, doctor, message):
+    # the A4 orbit of 12: its first cusp has width 4, v 4 and raw v 4
+    rc = reduce_orbit(_a4_orbits()[0])
+    assert rc.orbit.size == 12
+    rc.gammas
+    doctor(rc, monkeypatch)
+    with pytest.raises(ConsistencyError, match=message):
+        cusps(rc)
+
+
+def _genus_stub(widths, fixed_points=(1, 1)):
+    # one rep, fixed by gamma_0 and gamma_1
+    one = array("i", [0])
+    return SimpleNamespace(gammas=(one, one, one), reps=one, degree=1,
+                           fixed_points=fixed_points,
+                           cusps=[SimpleNamespace(width=w) for w in widths])
+
+
+@pytest.mark.parametrize("stub, message", [
+    # 2 (d - t0) / 3 = 2/3: the formula genus is 1/3
+    (([1], (0, 1)), "formula genus 0\\.33+[0-9]* not a genus"),
+    # two cusps: Euler term 1 - 1 - 1 - 2 = -3
+    (([1, 1],), "odd Euler term"),
+    # three cusps: Euler genus -4 / 2 + 1 = -1, formula genus 0
+    (([1, 1, 1],), "genus formula 0 != Euler oracle -1")])
+def test_genus_gates_raise_on_doctored_input(stub, message):
+    with pytest.raises(ConsistencyError, match=message):
+        reduced_genus(_genus_stub(*stub))
+
+
+def _sh_stub(shift, cusp_reps, widths):
+    reps = array("i", range(len(shift)))
+    return SimpleNamespace(
+        reps=reps, rep_of=reps,
+        orbit=SimpleNamespace(moves=[array("i", shift)]),
+        cusps=[SimpleNamespace(reps=r, width=w, label=i)
+               for i, (r, w) in enumerate(zip(cusp_reps, widths))])
+
+
+@pytest.mark.parametrize("stub, message", [
+    # sh a 3-cycle over three cusps of one rep each
+    (([1, 2, 0], [[0], [1], [2]], [1, 1, 1]), "not symmetric"),
+    # sh fixing both reps, against a width of 2
+    (([0, 1], [[0], [1]], [2, 1]), "row sums != widths")])
+def test_sh_incidence_gates_raise_on_doctored_input(stub, message):
+    with pytest.raises(ConsistencyError, match=message):
+        sh_incidence(_sh_stub(*stub))
+
+
+def test_wohlfahrt_level_one_and_a_degree_off_psl2():
+    def stub(widths, degree):
+        return SimpleNamespace(degree=degree, cusps=[
+            SimpleNamespace(width=w) for w in widths])
+    assert wohlfahrt(stub([1, 1], 2)) == {
+        "N": 1, "degree": 2, "psl2": 1, "widths": [1, 1],
+        "verdict": "inconclusive"}
+    assert wohlfahrt(stub([2, 2], 4)) == {
+        "N": 2, "degree": 4, "psl2": 6, "widths": [2, 2],
+        "verdict": "not a modular curve",
+        "reason": "degree 4 does not divide |PSL2(Z/2)| = 6"}

@@ -66,3 +66,46 @@ def test_one_cover_construction_in_the_program():
                for node in ast.walk(fn)
                if isinstance(node, ast.Attribute) and node.attr == "family"}
     assert readers == {"_cover_for"}
+
+
+def _functions(path):
+    """The functions of a module by qualified name, methods as
+    Class.method."""
+    out = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            out.update(("%s.%s" % (node.name, f.name), f) for f in node.body
+                       if isinstance(f, ast.FunctionDef))
+    return out
+
+
+def _calls(fn, attrs):
+    """The names of the attribute calls x.name(...) in fn, name in attrs."""
+    return sorted(node.func.attr for node in ast.walk(fn)
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in attrs)
+
+
+def test_group_arithmetic_once_in_the_program():
+    # the element tables compose conjugation and inverses from the
+    # generators' product rows, and the coset actions read the tables:
+    # none of these calls a handle's tuple-level conj or inv
+    checked = {"groups.py": ("ElementTables.__init__", "cen_in_Sn"),
+               "reduced.py": ("_psl2_sylow_cusp_type",)}
+    found = {}
+    for name, fns in checked.items():
+        defs = _functions(SRC / name)
+        found.update((fn, _calls(defs[fn], {"conj", "inv"})) for fn in fns)
+    assert found == {fn: [] for fns in checked.values() for fn in fns}
+    # the cosets of a subgroup are built in coset_numbers alone: no other
+    # function hands right-multiplication columns to orbit_arrays
+    builders = [(path.name, name) for path in sorted(SRC.glob("*.py"))
+                for name, fn in _functions(path).items()
+                if any(isinstance(node, ast.Call)
+                       and getattr(node.func, "id", None) == "orbit_arrays"
+                       and _calls(node, {"right"})
+                       for node in ast.walk(fn))]
+    assert builders == [("groups.py", "coset_numbers")]
